@@ -10,6 +10,8 @@ shows up.
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import graph as graphmod
 from .groups import is_solvable, two_generated_order
 from .primes import is_squarefree, prime_factors
@@ -196,31 +198,23 @@ class VerificationReport:
         }
 
 
-def _sigma_pair_check(graph, sigma):
+def _sigma_pair_check(graph, sigma, sources, dist):
     """Every conjugacy-representative sigma vertex must reach every sigma
-    vertex within two hops (covers all pairs up to conjugation)."""
-    table = graph.table
-    sigma_vertices = [i for i in sorted(sigma) if not graph.isolated[i]]
-    sigma_reps = [r for r in table.class_reps if r in sigma and not graph.isolated[r]]
-    for r in sigma_reps:
-        dist = graphmod._bfs_levels(graph, r)
-        for t in sigma_vertices:
-            if dist[t] < 0 or dist[t] > 2:
-                return r, t
-    return None
+    vertex within two hops (covers all pairs up to conjugation). sources and
+    dist are the rep_distances rows; returns the first failing pair."""
+    rows = [i for i, r in enumerate(sources) if r in sigma]
+    cols = [i for i in sorted(sigma) if not graph.isolated[i]]
+    sub = dist[rows][:, cols]
+    far = np.argwhere((sub < 0) | (sub > 2))
+    return (sources[rows[far[0, 0]]], cols[far[0, 1]]) if len(far) else None
 
 
-def _near_sigma_check(graph, sigma):
+def _near_sigma_check(graph, sigma, sources, dist):
     """Every non-isolated class representative must be within two hops of a
-    sigma element."""
-    table = graph.table
-    for r in table.class_reps:
-        if graph.isolated[r]:
-            continue
-        dist = graphmod._bfs_levels(graph, r)
-        if not any(0 <= dist[t] <= 2 for t in sigma if not graph.isolated[t]):
-            return r
-    return None
+    sigma element; returns the first that is not."""
+    sub = dist[:, [i for i in sigma if not graph.isolated[i]]]
+    missing = np.flatnonzero(~((sub >= 0) & (sub <= 2)).any(axis=1))
+    return sources[missing[0]] if missing.size else None
 
 
 def verify_theorem(group, cap=100_000, jobs=1, name=None, table=None, graph=None):
@@ -239,7 +233,8 @@ def verify_theorem(group, cap=100_000, jobs=1, name=None, table=None, graph=None
     sigma = sigma_set(table)
     max_pi = max(len(ps) for ps in table.primes_of)
     pg = prime_graph(table)
-    diam = graphmod.diameter(graph)
+    sources, dist = graphmod.rep_distances(graph)
+    diam = graphmod.diameter_from_rows(graph, sources, dist)
     lemmas = []
 
     def verdict(name_, applicable, passed, witness=None):
@@ -268,14 +263,14 @@ def verify_theorem(group, cap=100_000, jobs=1, name=None, table=None, graph=None
 
     # elements with two-prime orders are pairwise within distance 2
     if len(primes) >= 3:
-        bad = _sigma_pair_check(graph, sigma)
+        bad = _sigma_pair_check(graph, sigma, sources, dist)
         verdict("sigma_pairs_within_2", True, bad is None, witness=bad)
     else:
         lemmas.append(LemmaOutcome("sigma_pairs_within_2", "not-applicable"))
 
     # solvable, some vertex: every vertex is within 2 of a sigma element
     if solvable and len(graph.vertices) > 0:
-        bad = _near_sigma_check(graph, sigma)
+        bad = _near_sigma_check(graph, sigma, sources, dist)
         verdict("vertex_near_sigma", True, bad is None, witness=bad)
     else:
         lemmas.append(LemmaOutcome("vertex_near_sigma", "not-applicable"))

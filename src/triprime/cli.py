@@ -4,14 +4,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 """
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from collections import Counter
 
 from . import exports
 from .analysis import verify_theorem
-from .graph import build_graph, distance
+from .graph import build_graph, distance, pool_map
 from .groups import (
     OrderCapExceeded,
     PermutationGroup,
@@ -28,6 +27,23 @@ CLI_CAP = 20_000
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `error:` line, like every other input error."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _add_spec_args(sub):
@@ -104,9 +120,13 @@ def cmd_distance(args):
 
 
 def _verify_one(payload):
+    """(report dict, ok) for one group; a group over the cap is reported, not failed."""
     label, gens, degree, cap = payload
     group = PermutationGroup(gens, degree=degree, name=label)
-    report = verify_theorem(group, cap=cap, name=label)
+    try:
+        report = verify_theorem(group, cap=cap, name=label)
+    except OrderCapExceeded as exc:
+        return {"group": label, "error": str(exc)}, True
     return report.to_dict(), report.ok
 
 
@@ -116,38 +136,22 @@ def cmd_verify(args):
     else:
         groups = [_resolve_group(args)]
     payloads = [(g.name, g.generators, g.degree, args.cap) for g in groups]
-    results = []
-    writer = sys.stdout
+    all_ok = True
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
     try:
-        target = out_fh or writer
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(_verify_one, p) for p in payloads]
-                if args.stable:
-                    iterator = futures
-                else:
-                    iterator = concurrent.futures.as_completed(futures)
-                for fut in iterator:
-                    results.append(fut.result())
-                    target.write(json.dumps(results[-1][0], sort_keys=True) + "\n")
-                    target.flush()
-        else:
-            for p in payloads:
-                try:
-                    results.append(_verify_one(p))
-                except OrderCapExceeded as exc:
-                    results.append(({"group": p[0], "error": str(exc)}, True))
-                target.write(json.dumps(results[-1][0], sort_keys=True) + "\n")
-                target.flush()
+        target = out_fh or sys.stdout
+        for record, ok in pool_map(_verify_one, payloads, args.jobs):
+            target.write(json.dumps(record, sort_keys=True) + "\n")
+            target.flush()
+            all_ok &= ok
     finally:
         if out_fh:
             out_fh.close()
-    return 0 if all(ok for _, ok in results) else 1
+    return 0 if all_ok else 1
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triprime",
         description="Graphs on finite groups with edges where two elements "
         "generate a subgroup whose order has at least k distinct prime divisors.",
@@ -156,16 +160,16 @@ def build_parser():
 
     p_info = sub.add_parser("info", help="group summary: order, primes, solvability, classes")
     _add_spec_args(p_info)
-    p_info.add_argument("--cap", type=int, default=CLI_CAP)
+    p_info.add_argument("--cap", type=_positive_int, default=CLI_CAP)
     p_info.add_argument("--out", default=None)
     p_info.set_defaults(func=cmd_info)
 
     p_graph = sub.add_parser("graph", help="export the graph")
     _add_spec_args(p_graph)
-    p_graph.add_argument("--k", type=int, default=3)
+    p_graph.add_argument("--k", type=_positive_int, default=3)
     p_graph.add_argument("--format", default="dot", help="dot | graphml | csv | json")
-    p_graph.add_argument("--cap", type=int, default=CLI_CAP)
-    p_graph.add_argument("--jobs", type=int, default=1)
+    p_graph.add_argument("--cap", type=_positive_int, default=CLI_CAP)
+    p_graph.add_argument("--jobs", type=_positive_int, default=1)
     p_graph.add_argument("--out", default=None)
     p_graph.set_defaults(func=cmd_graph)
 
@@ -173,17 +177,18 @@ def build_parser():
     _add_spec_args(p_dist)
     p_dist.add_argument("x", help="first element in cycle notation")
     p_dist.add_argument("y", help="second element in cycle notation")
-    p_dist.add_argument("--k", type=int, default=3)
-    p_dist.add_argument("--cap", type=int, default=CLI_CAP)
-    p_dist.add_argument("--jobs", type=int, default=1)
+    p_dist.add_argument("--k", type=_positive_int, default=3)
+    p_dist.add_argument("--cap", type=_positive_int, default=CLI_CAP)
+    p_dist.add_argument("--jobs", type=_positive_int, default=1)
     p_dist.set_defaults(func=cmd_distance)
 
     p_verify = sub.add_parser("verify", help="run the verification harness")
     _add_spec_args(p_verify)
     p_verify.add_argument("--catalog-all", action="store_true", help="verify the whole catalog")
-    p_verify.add_argument("--cap", type=int, default=CLI_CAP)
-    p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument("--stable", action="store_true", help="report in catalog order")
+    p_verify.add_argument("--cap", type=_positive_int, default=CLI_CAP)
+    p_verify.add_argument("--jobs", type=_positive_int, default=1)
+    p_verify.add_argument("--stable", action="store_true",
+                          help="report in catalog order (always the case; accepted for compatibility)")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -3,6 +3,8 @@
 Vertices are labeled "index:cycles:order"; isolated vertices are excluded.
 """
 
+import csv
+import io
 import json
 from xml.sax.saxutils import escape
 
@@ -51,10 +53,11 @@ def to_graphml(graph):
 
 def to_csv(graph):
     table = graph.table
-    lines = ["source,target"]
-    for i, j in edge_list(graph):
-        lines.append(f"{vertex_label(table, i)},{vertex_label(table, j)}")
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["source", "target"])
+    writer.writerows((vertex_label(table, i), vertex_label(table, j)) for i, j in edge_list(graph))
+    return buf.getvalue()
 
 
 def to_json(graph):

@@ -9,6 +9,7 @@ adjacency rows and eccentricities at conjugacy-class representatives only.
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -84,26 +85,17 @@ class DiameterResult:
     witness: Optional[Tuple[int, int]] = None
 
 
-# module-level state for fork-based row workers
-_ROW_STATE = {}
+def pool_map(fn, items, jobs):
+    """Yield fn(item) for each item, in input order.
 
-
-def _row_init(table, k):
-    _ROW_STATE["table"] = table
-    _ROW_STATE["k"] = k
-
-
-def _row_worker(rep):
-    table = _ROW_STATE["table"]
-    k = _ROW_STATE["k"]
-    n = len(table.elements)
-    row = np.zeros(n, dtype=bool)
-    builds = 0
-    for j in range(n):
-        hit, b = _adjacent_counted(table, rep, j, k)
-        row[j] = hit
-        builds += b
-    return rep, np.packbits(row), builds
+    jobs <= 1 runs in-process; otherwise the items are spread over one pool
+    of `jobs` forked worker processes.
+    """
+    if jobs <= 1:
+        yield from map(fn, items)
+        return
+    with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        yield from pool.imap(fn, items)
 
 
 def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
@@ -135,22 +127,24 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
                      isolated=isolated, vertices=vertices, chain_builds=builds)
 
 
+def _row(table, k, rep):
+    """Adjacency row of one element, with its count of chain constructions."""
+    n = len(table.elements)
+    row = np.zeros(n, dtype=bool)
+    builds = 0
+    for j in range(n):
+        row[j], b = _adjacent_counted(table, rep, j, k)
+        builds += b
+    return row, builds
+
+
 def _build_reduced(table, k, adjacency, jobs):
     n = len(table.elements)
     reps = table.class_reps
     builds = 0
-    if jobs > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs, initializer=_row_init, initargs=(table, k)) as pool:
-            for rep, packed, b in pool.imap_unordered(_row_worker, reps, chunksize=1):
-                adjacency[rep] = np.unpackbits(packed, count=n).astype(bool)
-                builds += b
-    else:
-        for rep in reps:
-            for j in range(n):
-                hit, b = _adjacent_counted(table, rep, j, k)
-                builds += b
-                adjacency[rep, j] = hit
+    for rep, (row, b) in zip(reps, pool_map(partial(_row, table, k), reps, jobs)):
+        adjacency[rep] = row
+        builds += b
     # transport each representative row along its conjugation orbit: the row
     # of x^g at position j^g equals the row of x at position j
     gen_maps = [
@@ -177,7 +171,7 @@ def _build_reduced(table, k, adjacency, jobs):
 def _bfs_levels(graph, source):
     """Distance array over all element indices; -1 marks unreachable."""
     n = graph.n
-    dist = np.full(n, -1, dtype=np.int64)
+    dist = np.full(n, -1, dtype=np.int32)
     dist[source] = 0
     frontier = np.zeros(n, dtype=bool)
     frontier[source] = True
@@ -216,6 +210,33 @@ def distance(graph, i, j):
     return None if d < 0 else int(d)
 
 
+def _distance_rows(graph, sources):
+    """BFS rows, one per source, as an int32 (len(sources), n) array."""
+    return np.array([_bfs_levels(graph, s) for s in sources], dtype=np.int32).reshape(-1, graph.n)
+
+
+def rep_distances(graph):
+    """(sources, dist): the non-isolated class representatives, in class
+    order, and their BFS rows over all element indices (-1 = unreachable).
+    Distances are conjugation-invariant, so these rows cover every vertex."""
+    sources = [r for r in graph.table.class_reps if not graph.isolated[r]]
+    return sources, _distance_rows(graph, sources)
+
+
+def diameter_from_rows(graph, sources, dist):
+    """Diameter from BFS rows that cover every vertex, as from rep_distances.
+    A disconnection witness is the first source missing a vertex, with the
+    first vertex it misses."""
+    if len(graph.vertices) == 0:
+        return DiameterResult(status="empty")
+    sub = dist[:, graph.vertices]
+    unreached = np.argwhere(sub < 0)
+    if len(unreached):
+        s, v = unreached[0]
+        return DiameterResult(status="disconnected", witness=(sources[s], int(graph.vertices[v])))
+    return DiameterResult(status="connected", value=int(sub.max()))
+
+
 def diameter(graph, per_vertex=False):
     """Diameter of the induced graph on non-isolated vertices.
 
@@ -223,20 +244,10 @@ def diameter(graph, per_vertex=False):
     representatives are scanned unless per_vertex is set (kept as the
     correctness escape hatch for the equivalence tests).
     """
-    if len(graph.vertices) == 0:
-        return DiameterResult(status="empty")
     if per_vertex:
         sources = [int(v) for v in graph.vertices]
-    else:
-        sources = [r for r in graph.table.class_reps if not graph.isolated[r]]
-    best = 0
-    for s in sources:
-        dist = _bfs_levels(graph, s)
-        unreached = graph.vertices[dist[graph.vertices] < 0]
-        if unreached.size:
-            return DiameterResult(status="disconnected", witness=(s, int(unreached[0])))
-        best = max(best, int(dist[graph.vertices].max()))
-    return DiameterResult(status="connected", value=best)
+        return diameter_from_rows(graph, sources, _distance_rows(graph, sources))
+    return diameter_from_rows(graph, *rep_distances(graph))
 
 
 def eccentricities(graph, sources):

@@ -25,6 +25,9 @@ class OrderCapExceeded(RuntimeError):
         self.order = order
         self.cap = cap
 
+    def __reduce__(self):  # rebuild from (order, cap), so the error pickles across processes
+        return type(self), (self.order, self.cap)
+
 
 class StabilizerChain:
     """Base, basic orbits and transversals for a permutation group.

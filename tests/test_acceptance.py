@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import hashlib
+import json
 import os
 import time
 from types import SimpleNamespace
@@ -110,6 +112,16 @@ def test_criterion_3_theorem_sweep(sweep):
         len(checked) >= 9 and sweep["_elapsed"] < 300.0,
         f"{len(checked)} groups, max diameter {max_diam}, {sweep['_elapsed']:.0f}s",
     )
+
+
+def test_catalog_reports_match_golden_digest(sweep):
+    # the digest of `triprime verify --catalog-all --stable` output, in catalog order
+    text = "".join(
+        json.dumps(b.report.to_dict(), sort_keys=True) + "\n"
+        for name, b in sweep.items() if not name.startswith("_")
+    )
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "d7cd81d43ca7b60f32ec9b36870715cf52617477fc2b9916ef977bfd4da957e6"
 
 
 def test_criterion_4_dominating_element_suite(sweep):

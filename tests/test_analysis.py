@@ -10,6 +10,7 @@ from triprime.analysis import (
     sigma_set,
     verify_theorem,
 )
+from triprime import graph as graphmod
 from triprime.graph import build_graph
 from triprime.groups import catalog, direct_product
 from triprime.primes import is_squarefree, prime_factors
@@ -217,6 +218,21 @@ class TestVerifyTheorem:
         assert report.solvable is True
         assert report.max_pi_tilde == 2
         assert report.sigma_count == 8
+
+    def test_one_bfs_pass_per_nonisolated_class(self, monkeypatch):
+        # dihedral(30) has 9 classes, 4 of them isolated
+        group = catalog("dihedral", 30)
+        graph = build_graph(group.element_table())
+        calls = []
+        bfs_levels = graphmod._bfs_levels
+
+        def counted(g, source):
+            calls.append(source)
+            return bfs_levels(g, source)
+
+        monkeypatch.setattr(graphmod, "_bfs_levels", counted)
+        assert verify_theorem(group, graph=graph, table=graph.table).ok
+        assert len(calls) == 5
 
     def test_s4_vacuous(self):
         report = verify_theorem(catalog("symmetric", 4))

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -142,3 +143,47 @@ class TestVerify:
         lines = out_path.read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["group"] == "cyclic(30)"
+
+    def test_parallel_matches_serial_past_the_cap(self, capsys):
+        # groups over the cap give an error record and do not fail the run
+        serial = run(capsys, "verify", "--catalog-all", "--cap", "100", "--jobs", "1")
+        parallel = run(capsys, "verify", "--catalog-all", "--cap", "100", "--jobs", "2")
+        assert serial[0] == parallel[0] == 0
+        assert parallel[1] == serial[1]
+        records = [json.loads(line) for line in serial[1].splitlines()]
+        assert len(records) == 16
+        assert any("error" in r and "exceeds cap 100" in r["error"] for r in records)
+
+
+class TestCsv:
+    def test_d30_reads_back(self, capsys, tmp_path):
+        out_path = tmp_path / "d30.csv"
+        code, _, _ = run(
+            capsys, "graph", "--catalog", "dihedral", "--n", "30",
+            "--format", "csv", "--out", str(out_path),
+        )
+        assert code == 0
+        with open(out_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["source", "target"]
+        assert all(len(row) == 2 for row in rows)
+        assert any("," in label for label in rows[1])
+        sidecar = json.loads((tmp_path / "d30.csv.summary.json").read_text())
+        assert len(rows) - 1 == sidecar["edge_count"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--catalog", "dihedral", "--n", "30", "--k", "0"],
+        ["verify", "--catalog", "dihedral", "--n", "30", "--jobs", "-1"],
+        ["info", "--catalog", "dihedral", "--n", "30", "--cap", "0"],
+        ["distance", "--catalog", "dihedral", "--n", "30", "(1,2)", "(1,2)", "--k", "two"],
+    ],
+    ids=["k-zero", "jobs-negative", "cap-zero", "k-not-a-number"],
+)
+def test_non_positive_counts_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import pickle
 import random
 from collections import Counter
 
@@ -119,6 +120,12 @@ class TestEnumeration:
         with pytest.raises(OrderCapExceeded) as exc:
             enumerate_elements(catalog("symmetric", 5), cap=100)
         assert exc.value.order == 120
+
+    def test_cap_exceeded_pickles(self):
+        exc = pickle.loads(pickle.dumps(OrderCapExceeded(120, 100)))
+        assert isinstance(exc, OrderCapExceeded)
+        assert (exc.order, exc.cap) == (120, 100)
+        assert str(exc) == str(OrderCapExceeded(120, 100))
 
     def test_identity_first(self):
         table = catalog("dihedral", 30).element_table()
