@@ -118,13 +118,12 @@ def check_higman(group, table, graph):
     return LemmaOutcome("higman", "pass")
 
 
-def _require_normal_prime_power(group, table, subset):
+def _require_normal_prime_power(table, subset):
     """Validate a lemma input: subset must be closed under conjugation by the
     group's generators and have prime-power size > 1. Returns the prime."""
     for i in subset:
-        p = table.elements[i]
-        for g in group.generators:
-            if table.index_of[p.conjugate(g)] not in subset:
+        for m in table.conj_maps:
+            if m[i] not in subset:
                 raise ValueError("subset is not normal in the group")
     size = len(subset)
     ps = prime_factors(size) if size > 1 else frozenset()
@@ -136,7 +135,7 @@ def _require_normal_prime_power(group, table, subset):
 def check_rdivides(group, table, normal_indices, x1, x2):
     """Search translates of x1, x2 by the normal p-subgroup whose span has
     order divisible by p."""
-    p = _require_normal_prime_power(group, table, normal_indices)
+    p = _require_normal_prime_power(table, normal_indices)
     e1 = table.elements[x1]
     e2 = table.elements[x2]
     for n1 in normal_indices:
@@ -153,7 +152,7 @@ def check_fpf(group, table, normal_indices, x, y):
     spans with x a subgroup of order divisible by p."""
     from .groups import centralizer_elements
 
-    p = _require_normal_prime_power(group, table, normal_indices)
+    p = _require_normal_prime_power(table, normal_indices)
     if centralizer_elements(table, normal_indices, x) != {0}:
         return LemmaOutcome("translate_single_divisible", "not-applicable", witness=x)
     ex = table.elements[x]

@@ -147,19 +147,13 @@ def _build_reduced(table, k, adjacency, jobs):
         builds += b
     # transport each representative row along its conjugation orbit: the row
     # of x^g at position j^g equals the row of x at position j
-    gen_maps = [
-        np.fromiter(
-            (table.index_of[p.conjugate(g)] for p in table.elements), dtype=np.intp, count=n
-        )
-        for g in table.generators
-    ]
     done = np.zeros(n, dtype=bool)
     for rep in reps:
         done[rep] = True
         stack = [rep]
         while stack:
             x = stack.pop()
-            for pi in gen_maps:
+            for pi in table.conj_maps:
                 y = int(pi[x])
                 if not done[y]:
                     adjacency[y, pi] = adjacency[x]

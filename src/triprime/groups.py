@@ -9,6 +9,8 @@ for a fixed generator sequence.
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .perm import Permutation, identity, parse_cycles
 from .primes import prime_factors
 
@@ -32,6 +34,7 @@ class OrderCapExceeded(RuntimeError):
 class StabilizerChain:
     """Base, basic orbits and transversals for a permutation group.
 
+    gens[l] lists the strong generators that fix base[:l], in install order.
     Transversal entries are stored as (u, u_inverse) pairs with u mapping the
     base point of the level to the orbit point.
     """
@@ -47,30 +50,31 @@ class StabilizerChain:
                 raise ValueError(f"degree mismatch: {len(g)} vs {degree}")
         self.degree = degree
         self.base = []
-        self.strong_gens = []
+        self.gens = []
         self.transversals = []
         seen = set()
         for g in generators:
             if not g.is_identity() and g not in seen:
                 seen.add(g)
-                self._install(g)
-        self._close()
+                self._install(g, self._level_of(g))
+        self._close(len(self.base) - 1)
 
     # -- construction ------------------------------------------------------
 
-    def _install(self, g):
-        """Record a strong generator, extending the base so that g moves some base point."""
-        self.strong_gens.append(g)
-        if all(g[b] == b for b in self.base):
-            b = next(i for i in range(len(g)) if g[i] != i)
-            self.base.append(b)
+    def _level_of(self, g):
+        """Index of the first base point g moves; len(base) when it fixes them all."""
+        return next((l for l, b in enumerate(self.base) if g[b] != b), len(self.base))
+
+    def _install(self, g, level):
+        """Add g to gens[0..level], first extending the base if level == len(base)."""
+        if level == len(self.base):
+            self.base.append(next(i for i in range(len(g)) if g[i] != i))
+            self.gens.append([])
             self.transversals.append(None)
+        for gens in self.gens[: level + 1]:
+            gens.append(g)
 
-    def _gens_at(self, level):
-        prefix = self.base[:level]
-        return [g for g in self.strong_gens if all(g[b] == b for b in prefix)]
-
-    def _orbit(self, level, gens):
+    def _orbit(self, level):
         b = self.base[level]
         e = identity(self.degree)
         trans = {b: (e, e)}
@@ -78,7 +82,7 @@ class StabilizerChain:
         while queue:
             p = queue.popleft()
             u = trans[p][0]
-            for s in gens:
+            for s in self.gens[level]:
                 q = s[p]
                 if q not in trans:
                     v = u * s
@@ -86,21 +90,12 @@ class StabilizerChain:
                     queue.append(q)
         self.transversals[level] = trans
 
-    def _close(self):
-        """Work levels bottom-up until every Schreier generator sifts to the identity."""
-        if not self.base:
-            return
-        for level in range(len(self.base)):
-            self._orbit(level, self._gens_at(level))
-        level = len(self.base) - 1
+    def _close(self, level):
+        """Check levels `level`..0, restarting at each new generator's level;
+        every level deeper than `level` must already be complete."""
         while level >= 0:
-            residue_level = self._check_level(level)
-            if residue_level is None:
-                level -= 1
-            else:
-                for l in range(level, len(self.base)):
-                    self._orbit(l, self._gens_at(l))
-                level = residue_level
+            drop = self._check_level(level)
+            level = level - 1 if drop is None else drop
 
     def _check_level(self, level):
         """Sift all Schreier generators of this level; install the first non-trivial residue.
@@ -108,8 +103,8 @@ class StabilizerChain:
         Returns the level the new strong generator belongs to, or None when
         the level is complete.
         """
-        gens = self._gens_at(level)
-        self._orbit(level, gens)
+        self._orbit(level)
+        gens = self.gens[level]
         trans = self.transversals[level]
         for p in sorted(trans):
             u = trans[p][0]
@@ -119,10 +114,7 @@ class StabilizerChain:
                     continue
                 h, drop = self.sift(sg, level + 1)
                 if not h.is_identity():
-                    grew = drop == len(self.base)
-                    self._install(h)
-                    if grew:
-                        self._orbit(drop, self._gens_at(drop))
+                    self._install(h, drop)
                     return drop
         return None
 
@@ -154,8 +146,9 @@ class StabilizerChain:
         """Extend the chain with one more generator; no-op if already a member."""
         if self.contains(g):
             return False
-        self._install(g)
-        self._close()
+        level = self._level_of(g)
+        self._install(g, level)
+        self._close(level)
         return True
 
 
@@ -216,7 +209,8 @@ class ElementTable:
     """Exhaustive indexed listing of a group's elements with cached invariants.
 
     Index 0 is the identity. conjugator[i] is an element h with
-    elements[class_rep(class_of[i])] ^ h = elements[i].
+    elements[class_rep(class_of[i])] ^ h = elements[i]. conj_maps[t] is an
+    np.intp array: conj_maps[t][i] = index_of[elements[i] ^ generators[t]].
     """
 
     degree: int
@@ -228,6 +222,7 @@ class ElementTable:
     class_of: list = field(default_factory=list)
     class_reps: list = field(default_factory=list)
     conjugator: list = field(default_factory=list)
+    conj_maps: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.elements)
@@ -272,7 +267,7 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
 
 
 def conjugacy_classes(table):
-    """Fill class ids, representatives and conjugators by orbit closure.
+    """Fill class ids, representatives, conjugators and conjugation maps.
 
     Classes are the orbits of conjugation by the generators; the
     representative of each class is its least element index.
@@ -283,6 +278,7 @@ def conjugacy_classes(table):
     reps = []
     e = identity(table.degree)
     gen_pairs = [(g.inverse(), g) for g in table.generators]
+    maps = [[table.index_of[ginv * p * g] for p in table.elements] for ginv, g in gen_pairs]
     for i in range(n):
         if class_of[i] >= 0:
             continue
@@ -293,10 +289,9 @@ def conjugacy_classes(table):
         queue = deque([i])
         while queue:
             x = queue.popleft()
-            px = table.elements[x]
             hx = conjugator[x]
-            for ginv, g in gen_pairs:
-                y = table.index_of[ginv * px * g]
+            for g, m in zip(table.generators, maps):
+                y = m[x]
                 if class_of[y] < 0:
                     class_of[y] = cid
                     conjugator[y] = hx * g
@@ -304,6 +299,7 @@ def conjugacy_classes(table):
     table.class_of = class_of
     table.class_reps = reps
     table.conjugator = conjugator
+    table.conj_maps = [np.array(m, dtype=np.intp) for m in maps]
     return table
 
 
@@ -395,8 +391,10 @@ def _symmetric(n):
 
 
 def _alternating(n):
+    if n < 1:
+        raise ValueError("alternating group needs n >= 1")
     if n < 3:
-        return PermutationGroup([identity(max(n, 1))], name=f"alternating({n})")
+        return PermutationGroup([identity(n)], name=f"alternating({n})")
     three = Permutation([1, 2, 0] + list(range(3, n)))
     if n % 2:
         cycle = Permutation([(i + 1) % n for i in range(n)])

@@ -38,7 +38,7 @@ class Permutation(tuple):
         return len(self)
 
     def is_identity(self):
-        return all(i == j for i, j in enumerate(self))
+        return self == tuple(range(len(self)))
 
     def __mul__(self, other):
         """Compose left-to-right: (self * other)(i) = other(self(i))."""

@@ -187,3 +187,19 @@ def test_non_positive_counts_rejected(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "--catalog", "alternating", "--n", "-5"],
+        ["info", "--catalog", "alternating", "--n", "0"],
+        ["graph", "--catalog", "alternating", "--n", "-1"],
+    ],
+    ids=["info-minus-five", "info-zero", "graph-minus-one"],
+)
+def test_alternating_below_one_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triprime.groups import (
     OrderCapExceeded,
@@ -19,10 +21,14 @@ from triprime.groups import (
     parse_group_text,
     two_generated_order,
 )
-from triprime.perm import from_cycles, identity, parse_cycles
+from triprime.perm import Permutation, from_cycles, identity, parse_cycles
 
 
 def closure_order(generators):
+    return len(closure_elements(generators))
+
+
+def closure_elements(generators):
     # independent oracle: exhaustive closure under multiplication, no chain
     e = identity(len(generators[0]))
     seen = {e}
@@ -36,7 +42,7 @@ def closure_order(generators):
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    return len(seen)
+    return seen
 
 
 class TestStabilizerChain:
@@ -86,6 +92,52 @@ class TestStabilizerChain:
     )
     def test_order_matches_exhaustive_closure(self, group):
         assert group.order() == closure_order(group.generators)
+
+    @pytest.mark.parametrize("name,n", [("symmetric", 5), ("sl23_example", None)])
+    def test_one_orbit_build_per_level_check(self, monkeypatch, name, n):
+        calls = Counter()
+        for method in ("_orbit", "_check_level"):
+            original = getattr(StabilizerChain, method)
+
+            def counted(self, level, _original=original, _method=method):
+                calls[_method] += 1
+                return _original(self, level)
+
+            monkeypatch.setattr(StabilizerChain, method, counted)
+        group = catalog(name, n)
+        assert StabilizerChain(group.generators).order() == group.order()
+        assert calls["_check_level"] > 0
+        assert calls["_orbit"] == calls["_check_level"]
+
+
+@st.composite
+def small_subgroups(draw):
+    """2-3 random generators of a subgroup of S_n, n <= 7."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    perms = st.permutations(range(n)).map(Permutation)
+    return draw(st.lists(perms, min_size=2, max_size=3))
+
+
+class TestChainAgainstClosure:
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(gens=small_subgroups(), data=st.data())
+    def test_chain_matches_closure(self, gens, data):
+        elements = closure_elements(gens)
+        chain = StabilizerChain(gens)
+        assert chain.order() == len(elements)
+        assert two_generated_order(gens[0], gens[1]) == closure_order(gens[:2])
+        n = len(gens[0])
+        grown = StabilizerChain(gens[:1], degree=n)
+        for g in gens[1:]:
+            grown.add_generator(g)
+        assert grown.order() == len(elements)
+        samples = data.draw(st.lists(st.permutations(range(n)).map(Permutation), max_size=4))
+        samples += data.draw(st.lists(st.sampled_from(sorted(elements)), max_size=4))
+        for p in samples:
+            assert chain.contains(p) == (p in elements)
+        for level, gens_at in enumerate(chain.gens):
+            prefix = chain.base[:level]
+            assert gens_at == [g for g in chain.gens[0] if all(g[b] == b for b in prefix)]
 
 
 class TestContains:
@@ -208,6 +260,18 @@ class TestConjugacyClasses:
 
     @pytest.mark.parametrize(
         "group",
+        [catalog("dihedral", 30), catalog("sl23"), catalog("symmetric", 4)],
+        ids=lambda g: g.name,
+    )
+    def test_conj_maps_match_conjugation(self, group):
+        table = group.element_table()
+        assert len(table.conj_maps) == len(table.generators)
+        for g, m in zip(table.generators, table.conj_maps):
+            for i, p in enumerate(table.elements):
+                assert m[i] == table.index_of[p.conjugate(g)]
+
+    @pytest.mark.parametrize(
+        "group",
         [catalog("dihedral", 30), catalog("sl23"), catalog("alternating", 5), catalog("symmetric", 5)],
         ids=lambda g: g.name,
     )
@@ -319,6 +383,13 @@ class TestCatalog:
 
     def test_alternating_even_degree(self):
         assert catalog("alternating", 6).order() == 360
+
+    def test_alternating_small_degrees(self):
+        assert catalog("alternating", 1).order() == 1
+        assert catalog("alternating", 2).order() == 1
+        for n in (0, -5):
+            with pytest.raises(ValueError):
+                catalog("alternating", n)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
