@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import graph as graphmod
-from .groups import is_solvable, two_generated_order
+from .groups import centralizer_elements, is_solvable, two_generated_order
 from .primes import is_squarefree, prime_factors
 
 
@@ -132,7 +132,7 @@ def _require_normal_prime_power(table, subset):
     return next(iter(ps))
 
 
-def check_rdivides(group, table, normal_indices, x1, x2):
+def check_rdivides(table, normal_indices, x1, x2):
     """Search translates of x1, x2 by the normal p-subgroup whose span has
     order divisible by p."""
     p = _require_normal_prime_power(table, normal_indices)
@@ -147,11 +147,9 @@ def check_rdivides(group, table, normal_indices, x1, x2):
     return LemmaOutcome("translate_pair_divisible", "fail", witness=(x1, x2))
 
 
-def check_fpf(group, table, normal_indices, x, y):
+def check_fpf(table, normal_indices, x, y):
     """Fixed-point-free case: with C_N(x) trivial, some single translate of y
     spans with x a subgroup of order divisible by p."""
-    from .groups import centralizer_elements
-
     p = _require_normal_prime_power(table, normal_indices)
     if centralizer_elements(table, normal_indices, x) != {0}:
         return LemmaOutcome("translate_single_divisible", "not-applicable", witness=x)

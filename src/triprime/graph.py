@@ -102,8 +102,8 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
     """Construct the full adjacency bit-matrix and the isolated-vertex mask.
 
     mode "naive" tests every unordered pair directly; "symmetry_reduced"
-    computes one adjacency row per conjugacy class and transports it along
-    the conjugation orbit. Both produce identical matrices.
+    decides each pair of conjugacy classes once, at a class representative,
+    and transports its row along the class tree. Both produce identical matrices.
     """
     if mode not in ("naive", "symmetry_reduced"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -128,37 +128,29 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
 
 
 def _row(table, k, rep):
-    """Adjacency row of one element, with its count of chain constructions."""
-    n = len(table.elements)
-    row = np.zeros(n, dtype=bool)
+    """Adjacency entries of one class representative in its own and later
+    classes, with its count of chain constructions; the rest stay False."""
+    row = np.zeros(len(table.elements), dtype=bool)
     builds = 0
-    for j in range(n):
-        row[j], b = _adjacent_counted(table, rep, j, k)
-        builds += b
+    own = table.class_of[rep]
+    for j, c in enumerate(table.class_of):
+        if c >= own:
+            row[j], b = _adjacent_counted(table, rep, j, k)
+            builds += b
     return row, builds
 
 
 def _build_reduced(table, k, adjacency, jobs):
-    n = len(table.elements)
-    reps = table.class_reps
+    # classes in order: earlier rows are complete, so the representative's
+    # column holds its entries in earlier classes; the row of x^g at
+    # position j^g equals the row of x at position j
     builds = 0
-    for rep, (row, b) in zip(reps, pool_map(partial(_row, table, k), reps, jobs)):
-        adjacency[rep] = row
+    rows = pool_map(partial(_row, table, k), table.class_reps, jobs)
+    for rep, tree, (row, b) in zip(table.class_reps, table.class_trees, rows):
+        adjacency[rep] = row | adjacency[:, rep]
+        for y, x, t in tree:
+            adjacency[y, table.conj_maps[t]] = adjacency[x]
         builds += b
-    # transport each representative row along its conjugation orbit: the row
-    # of x^g at position j^g equals the row of x at position j
-    done = np.zeros(n, dtype=bool)
-    for rep in reps:
-        done[rep] = True
-        stack = [rep]
-        while stack:
-            x = stack.pop()
-            for pi in table.conj_maps:
-                y = int(pi[x])
-                if not done[y]:
-                    adjacency[y, pi] = adjacency[x]
-                    done[y] = True
-                    stack.append(y)
     return builds
 
 

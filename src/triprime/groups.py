@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .perm import Permutation, identity, parse_cycles
+from .perm import MAX_DEGREE, Permutation, check_degree, identity, parse_cycles
 from .primes import prime_factors
 
 DEFAULT_CAP = 100_000
@@ -208,9 +208,10 @@ class PermutationGroup:
 class ElementTable:
     """Exhaustive indexed listing of a group's elements with cached invariants.
 
-    Index 0 is the identity. conjugator[i] is an element h with
-    elements[class_rep(class_of[i])] ^ h = elements[i]. conj_maps[t] is an
-    np.intp array: conj_maps[t][i] = index_of[elements[i] ^ generators[t]].
+    Index 0 is the identity. conj_maps[t] is an np.intp array:
+    conj_maps[t][i] = index_of[elements[i] ^ generators[t]]. class_trees[c]
+    lists the steps (y, x, t), y = conj_maps[t][x], that first reached each
+    non-representative y of class c, parents first.
     """
 
     degree: int
@@ -221,8 +222,8 @@ class ElementTable:
     primes_of: list
     class_of: list = field(default_factory=list)
     class_reps: list = field(default_factory=list)
-    conjugator: list = field(default_factory=list)
     conj_maps: list = field(default_factory=list)
+    class_trees: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.elements)
@@ -267,16 +268,15 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
 
 
 def conjugacy_classes(table):
-    """Fill class ids, representatives, conjugators and conjugation maps.
+    """Fill class ids, representatives, conjugation maps and class trees.
 
     Classes are the orbits of conjugation by the generators; the
     representative of each class is its least element index.
     """
     n = len(table.elements)
     class_of = [-1] * n
-    conjugator = [None] * n
     reps = []
-    e = identity(table.degree)
+    trees = []
     gen_pairs = [(g.inverse(), g) for g in table.generators]
     maps = [[table.index_of[ginv * p * g] for p in table.elements] for ginv, g in gen_pairs]
     for i in range(n):
@@ -285,21 +285,20 @@ def conjugacy_classes(table):
         cid = len(reps)
         reps.append(i)
         class_of[i] = cid
-        conjugator[i] = e
+        trees.append([])
         queue = deque([i])
         while queue:
             x = queue.popleft()
-            hx = conjugator[x]
-            for g, m in zip(table.generators, maps):
+            for t, m in enumerate(maps):
                 y = m[x]
                 if class_of[y] < 0:
                     class_of[y] = cid
-                    conjugator[y] = hx * g
+                    trees[cid].append((y, x, t))
                     queue.append(y)
     table.class_of = class_of
     table.class_reps = reps
-    table.conjugator = conjugator
     table.conj_maps = [np.array(m, dtype=np.intp) for m in maps]
+    table.class_trees = trees
     return table
 
 
@@ -365,6 +364,7 @@ def is_solvable(group):
 def _cyclic(n):
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
+    check_degree(n)
     if n == 1:
         return PermutationGroup([identity(1)], name="cyclic(1)")
     a = Permutation([(i + 1) % n for i in range(n)])
@@ -375,6 +375,7 @@ def _dihedral(order):
     if order < 6 or order % 2:
         raise ValueError("dihedral group needs an even order >= 6")
     m = order // 2
+    check_degree(m)
     a = Permutation([(i + 1) % m for i in range(m)])
     b = Permutation([(-i) % m for i in range(m)])
     return PermutationGroup([a, b], name=f"dihedral({order})")
@@ -383,6 +384,7 @@ def _dihedral(order):
 def _symmetric(n):
     if n < 1:
         raise ValueError("symmetric group needs n >= 1")
+    check_degree(n)
     if n == 1:
         return PermutationGroup([identity(1)], name="symmetric(1)")
     cycle = Permutation([(i + 1) % n for i in range(n)])
@@ -393,6 +395,7 @@ def _symmetric(n):
 def _alternating(n):
     if n < 1:
         raise ValueError("alternating group needs n >= 1")
+    check_degree(n)
     if n < 3:
         return PermutationGroup([identity(n)], name=f"alternating({n})")
     three = Permutation([1, 2, 0] + list(range(3, n)))
@@ -563,8 +566,8 @@ def parse_group_text(text, source="<string>"):
                 degree = int(value)
             except ValueError:
                 raise ValueError(f"{source}:{lineno}: bad degree {value!r}") from None
-            if degree < 1:
-                raise ValueError(f"{source}:{lineno}: degree must be positive")
+            if not 1 <= degree <= MAX_DEGREE:
+                raise ValueError(f"{source}:{lineno}: degree must be between 1 and {MAX_DEGREE}")
         elif key == "gen":
             if degree is None:
                 raise ValueError(f"{source}:{lineno}: 'gen:' before 'degree:'")

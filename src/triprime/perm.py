@@ -24,8 +24,7 @@ class Permutation(tuple):
     def __new__(cls, images):
         p = tuple.__new__(cls, images)
         n = len(p)
-        if n > MAX_DEGREE:
-            raise ValueError(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
+        check_degree(n)
         seen = [False] * n
         for i in p:
             if not isinstance(i, int) or not 0 <= i < n or seen[i]:
@@ -102,6 +101,12 @@ class Permutation(tuple):
 
     def __str__(self):
         return format_cycles(self)
+
+
+def check_degree(n):
+    """Raise ValueError when n exceeds MAX_DEGREE, before anything of size n is built."""
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} exceeds the supported maximum {MAX_DEGREE}")
 
 
 def identity(n):

@@ -206,14 +206,14 @@ def test_criterion_7_translate_lemma_suites():
         size = len(table.elements)
         for x1 in range(size):
             for x2 in range(size):
-                out = check_rdivides(group, table, n_idx, x1, x2)
+                out = check_rdivides(table, n_idx, x1, x2)
                 assert out.outcome == "pass", (group.name, x1, x2)
                 instances += 1
         for x in range(size):
             if centralizer_elements(table, n_idx, x) != {0}:
                 continue
             for y in range(size):
-                out = check_fpf(group, table, n_idx, x, y)
+                out = check_fpf(table, n_idx, x, y)
                 assert out.outcome == "pass", (group.name, x, y)
                 instances += 1
     elapsed = time.perf_counter() - t0

@@ -172,7 +172,7 @@ def rotation_subgroup_indices(d30, power):
 class TestRdivides:
     def test_identity_pair(self, d30):
         n5 = rotation_subgroup_indices(d30, 3)  # order 5
-        out = check_rdivides(d30.group, d30.table, n5, 0, 0)
+        out = check_rdivides(d30.table, n5, 0, 0)
         assert out.outcome == "pass"
 
     def test_d30_reflections(self, d30):
@@ -180,31 +180,31 @@ class TestRdivides:
         n5 = rotation_subgroup_indices(d30, 3)
         x1 = d30.table.index_of[b]
         x2 = d30.table.index_of[b * a]
-        assert check_rdivides(d30.group, d30.table, n5, x1, x2).outcome == "pass"
+        assert check_rdivides(d30.table, n5, x1, x2).outcome == "pass"
 
     def test_rejects_non_normal_subset(self, d30):
         b = d30.group.generators[1]
         subset = {0, d30.table.index_of[b]}
         with pytest.raises(ValueError, match="normal"):
-            check_rdivides(d30.group, d30.table, subset, 1, 2)
+            check_rdivides(d30.table, subset, 1, 2)
 
     def test_rejects_non_prime_power(self, d30):
         rotations = rotation_subgroup_indices(d30, 1)  # order 15
         with pytest.raises(ValueError, match="prime power"):
-            check_rdivides(d30.group, d30.table, rotations, 1, 2)
+            check_rdivides(d30.table, rotations, 1, 2)
 
 
 class TestFpf:
     def test_d30_reflection(self, d30):
         b = d30.group.generators[1]
         n5 = rotation_subgroup_indices(d30, 3)
-        out = check_fpf(d30.group, d30.table, n5, d30.table.index_of[b], 0)
+        out = check_fpf(d30.table, n5, d30.table.index_of[b], 0)
         assert out.outcome == "pass"
 
     def test_centralizer_violation_not_applicable(self, d30):
         a = d30.group.generators[0]
         n5 = rotation_subgroup_indices(d30, 3)
-        out = check_fpf(d30.group, d30.table, n5, d30.table.index_of[a], 0)
+        out = check_fpf(d30.table, n5, d30.table.index_of[a], 0)
         assert out.outcome == "not-applicable"
 
 

@@ -35,6 +35,14 @@ class TestInfo:
         assert code == 2
         assert ":2:" in err
 
+    def test_file_degree_over_the_bound(self, capsys, tmp_path):
+        path = tmp_path / "big.grp"
+        path.write_text("degree: 5000\ngen: ()\n")
+        code, out, err = run(capsys, "info", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_requires_exactly_one_spec(self, capsys):
         code, _, err = run(capsys, "info")
         assert code == 2

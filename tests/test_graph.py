@@ -3,7 +3,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from triprime import graph as graph_module
 from triprime.graph import (
     IsolatedVertexError,
     adjacent,
@@ -14,7 +17,8 @@ from triprime.graph import (
     eccentricities,
     neighbor_order_profile,
 )
-from triprime.groups import catalog, direct_product, two_generated_order
+from triprime.groups import PermutationGroup, catalog, direct_product, two_generated_order
+from triprime.perm import Permutation
 from triprime.primes import prime_factors
 
 
@@ -195,6 +199,44 @@ class TestBfsAndDistance:
         for s in vertices:
             rep = bfs(d30.graph, s)
             assert rep.distances == dist[s]
+
+
+class TestReducedBuild:
+    def test_each_pair_of_classes_evaluated_once(self, monkeypatch):
+        # a representative is tested against its own and later classes only
+        table = catalog("dihedral", 30).element_table()
+        calls = Counter()
+        original = graph_module._adjacent_counted
+
+        def counted(table, i, j, k):
+            calls[i] += 1
+            return original(table, i, j, k)
+
+        monkeypatch.setattr(graph_module, "_adjacent_counted", counted)
+        build_graph(table, mode="symmetry_reduced")
+        expected = {r: sum(c >= table.class_of[r] for c in table.class_of) for r in table.class_reps}
+        assert calls == expected
+        assert sum(calls.values()) == 128
+
+
+@st.composite
+def small_groups(draw):
+    """A subgroup of S_n, n <= 5, on 2-3 random generators."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    perms = st.permutations(range(n)).map(Permutation)
+    return PermutationGroup(draw(st.lists(perms, min_size=2, max_size=3)))
+
+
+class TestReducedAgainstNaive:
+    # random generators give random element and class orders, which exercises
+    # the fill of earlier classes from the representative's column
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(group=small_groups(), k=st.sampled_from([2, 3]))
+    def test_reduced_matches_naive(self, group, k):
+        table = group.element_table()
+        reduced = build_graph(table, k=k, mode="symmetry_reduced")
+        naive = build_graph(table, k=k, mode="naive")
+        assert np.array_equal(reduced.adjacency, naive.adjacency)
 
 
 class TestDiameter:

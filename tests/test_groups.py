@@ -1,5 +1,6 @@
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -227,7 +228,7 @@ class TestConjugacyClasses:
     def test_abelian_singletons(self):
         table = catalog("cyclic", 12).element_table()
         assert len(table.class_reps) == 12
-        assert all(h.is_identity() for h in table.conjugator)
+        assert table.class_trees == [[]] * 12
 
     def test_s3_class_sizes(self):
         table = catalog("symmetric", 3).element_table()
@@ -252,11 +253,16 @@ class TestConjugacyClasses:
         [catalog("dihedral", 30), catalog("sl23"), catalog("symmetric", 4)],
         ids=lambda g: g.name,
     )
-    def test_conjugators_verify(self, group):
+    def test_class_trees_span_classes(self, group):
         table = group.element_table()
-        for i in range(len(table.elements)):
-            rep = table.class_reps[table.class_of[i]]
-            assert table.elements[rep].conjugate(table.conjugator[i]) == table.elements[i]
+        assert len(table.class_trees) == len(table.class_reps)
+        for cid, tree in enumerate(table.class_trees):
+            reached = [table.class_reps[cid]]
+            for y, x, t in tree:
+                assert table.conj_maps[t][x] == y
+                assert x in reached
+                reached.append(y)
+            assert sorted(reached) == table.class_members(cid)
 
     @pytest.mark.parametrize(
         "group",
@@ -395,6 +401,20 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog("monster")
 
+    @pytest.mark.parametrize(
+        "name,n", [("cyclic", 10**6), ("dihedral", 2 * 10**6), ("symmetric", 10**6), ("alternating", 10**6)]
+    )
+    def test_degree_over_the_bound_allocates_nothing(self, name, n):
+        # refused before any degree-sized list is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the supported maximum"):
+                catalog(name, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             catalog("cyclic")
@@ -419,6 +439,10 @@ class TestGroupFiles:
     def test_missing_degree(self):
         with pytest.raises(ValueError, match="degree"):
             parse_group_text("gen: (1,2)\n")
+
+    def test_degree_over_the_bound(self):
+        with pytest.raises(ValueError, match=":1: degree must be between 1 and 1024"):
+            parse_group_text("degree: 5000\ngen: ()")
 
     def test_point_out_of_range(self):
         with pytest.raises(ValueError, match=":2:"):
