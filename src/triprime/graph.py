@@ -4,6 +4,9 @@ Two distinct elements are adjacent when the order of the subgroup they
 generate has at least k distinct prime divisors (default k = 3). Conjugation
 by any group element is a graph automorphism, which licenses computing
 adjacency rows and eccentricities at conjugacy-class representatives only.
+Within the row of a representative r, the entry of j depends only on
+<r, j>, which j -> r*j, j -> j*r and j -> j^-1 leave unchanged, so one entry
+is decided per orbit of these maps.
 """
 
 import multiprocessing
@@ -33,9 +36,11 @@ def adjacent(table, i, j, k=DEFAULT_K):
 def _adjacent_counted(table, i, j, k):
     """Adjacency test; second component counts stabilizer-chain constructions.
 
-    Cheap sound prefilters run first: the orders of x, y and x*y all divide
-    |<x, y>|, so their combined prime support certifies adjacency without a
-    chain. Only pairs surviving the prefilters build a chain.
+    Cheap sound certificates run first. When x and y commute, |<x, y>|
+    divides |x|*|y|, so the primes of x and y are all there is. Otherwise the
+    orders of x, y and of the words xy, xy^-1, [x, y], x^2y and xy^2 all
+    divide |<x, y>|, so their combined prime support certifies adjacency.
+    Only pairs that no certificate decides build a chain.
     """
     if i == j:
         return False, 0
@@ -44,8 +49,13 @@ def _adjacent_counted(table, i, j, k):
         return True, 0
     x = table.elements[i]
     y = table.elements[j]
-    if len(support | prime_factors((x * y).order())) >= k:
-        return True, 0
+    xy, yx = x * y, y * x
+    if xy == yx:
+        return False, 0
+    for w in (xy, x * y.inverse(), yx.inverse() * xy, x * xy, xy * y):
+        support = support | prime_factors(w.order())
+        if len(support) >= k:
+            return True, 0
     return len(prime_factors(two_generated_order(x, y))) >= k, 1
 
 
@@ -102,8 +112,10 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
     """Construct the full adjacency bit-matrix and the isolated-vertex mask.
 
     mode "naive" tests every unordered pair directly; "symmetry_reduced"
-    decides each pair of conjugacy classes once, at a class representative,
-    and transports its row along the class tree. Both produce identical matrices.
+    decides each pair of conjugacy classes once, at a class representative r,
+    with one test per orbit of j -> r*j, j*r, j^-1 in its row, and transports
+    the row along the class tree. Both produce identical matrices, and both
+    build a chain only for pairs that no cheap certificate decides.
     """
     if mode not in ("naive", "symmetry_reduced"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -127,16 +139,64 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
                      isolated=isolated, vertices=vertices, chain_builds=builds)
 
 
-def _row(table, k, rep):
+def _mul_maps(table):
+    """(lmul, inv): lmul[t][i] is the index of generators[t] * elements[i] and
+    inv[i] the index of elements[i]^-1, read off the enumeration's products
+    and the conjugation maps with no permutation product."""
+    # g * p = (g p g^-1) * g, and g p g^-1 is p conjugated by g^-1
+    lmul = [m[np.argsort(c)] for m, c in zip(table.rmul, table.conj_maps)]
+    unmul = [np.argsort(m) for m in lmul]  # unmul[t][i]: index of generators[t]^-1 * elements[i]
+    inv = np.zeros(len(table.elements), dtype=np.intp)
+    for i in range(1, len(table.elements)):  # (p g)^-1 = g^-1 p^-1, parents first
+        p, t = table.parents[i]
+        inv[i] = unmul[t][inv[p]]
+    return lmul, inv
+
+
+def _rep_maps(table, lmul, rep):
+    """(R, L): R[j] is the index of elements[j] * r and L[j] that of
+    r * elements[j], r = elements[rep], composed along a word for r."""
+    word = table.word(rep)
+    R = L = np.arange(len(table.elements))
+    for t in word:
+        R = table.rmul[t][R]
+    for t in reversed(word):
+        L = lmul[t][L]
+    return R, L
+
+
+def _row(table, k, lmul, inv, prime_mask, rep):
     """Adjacency entries of one class representative in its own and later
-    classes, with its count of chain constructions; the rest stay False."""
-    row = np.zeros(len(table.elements), dtype=bool)
+    classes, with its count of chain constructions; the rest stay False.
+
+    <r, j> is the same subgroup for every j in one orbit of j -> r*j,
+    j -> j*r and j -> j^-1, so the row is constant on these orbits. An orbit
+    is adjacent when the primes of r and of one member already reach k;
+    every other orbit that meets the own or later classes is decided once,
+    at its least index.
+    """
+    n = len(table.elements)
+    R, L = _rep_maps(table, lmul, rep)
+    # min-label propagation along R^(2^s) and L^(2^s): after s rounds
+    # label[j] is the least index of r^a * j * r^b, 0 <= a, b < 2^s
+    label = np.arange(n)
+    for _ in range((table.order_of[rep] - 1).bit_length()):
+        label = np.minimum(label, label[R])
+        label = np.minimum(label, label[L])
+        R, L = R[R], L[L]
+    label = np.minimum(label, label[inv])
+    hit = np.zeros(n, dtype=bool)
+    hit[label[(prime_mask | prime_mask[:, rep, None]).sum(axis=0) >= k]] = True
+    own = np.asarray(table.class_of) >= table.class_of[rep]
+    undecided = np.zeros(n, dtype=bool)
+    undecided[label[own]] = True
+    undecided &= ~hit
     builds = 0
-    own = table.class_of[rep]
-    for j, c in enumerate(table.class_of):
-        if c >= own:
-            row[j], b = _adjacent_counted(table, rep, j, k)
-            builds += b
+    for m in np.flatnonzero(undecided):
+        hit[m], b = _adjacent_counted(table, rep, int(m), k)
+        builds += b
+    row = hit[label] & own
+    row[rep] = False
     return row, builds
 
 
@@ -144,8 +204,11 @@ def _build_reduced(table, k, adjacency, jobs):
     # classes in order: earlier rows are complete, so the representative's
     # column holds its entries in earlier classes; the row of x^g at
     # position j^g equals the row of x at position j
+    lmul, inv = _mul_maps(table)
+    primes = prime_factors(len(table.elements))
+    prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes])  # (primes, n)
     builds = 0
-    rows = pool_map(partial(_row, table, k), table.class_reps, jobs)
+    rows = pool_map(partial(_row, table, k, lmul, inv, prime_mask), table.class_reps, jobs)
     for rep, tree, (row, b) in zip(table.class_reps, table.class_trees, rows):
         adjacency[rep] = row | adjacency[:, rep]
         for y, x, t in tree:

@@ -208,10 +208,13 @@ class PermutationGroup:
 class ElementTable:
     """Exhaustive indexed listing of a group's elements with cached invariants.
 
-    Index 0 is the identity. conj_maps[t] is an np.intp array:
-    conj_maps[t][i] = index_of[elements[i] ^ generators[t]]. class_trees[c]
-    lists the steps (y, x, t), y = conj_maps[t][x], that first reached each
-    non-representative y of class c, parents first.
+    Index 0 is the identity. rmul[t] and conj_maps[t] are np.intp arrays:
+    rmul[t][i] = index_of[elements[i] * generators[t]] and
+    conj_maps[t][i] = index_of[elements[i] ^ generators[t]]. parents[i] =
+    (p, t) for i >= 1 says that the enumeration first reached elements[i] as
+    elements[p] * generators[t]. class_trees[c] lists the steps (y, x, t),
+    y = conj_maps[t][x], that first reached each non-representative y of
+    class c, parents first.
     """
 
     degree: int
@@ -220,6 +223,8 @@ class ElementTable:
     index_of: dict
     order_of: list
     primes_of: list
+    rmul: list = field(default_factory=list)
+    parents: list = field(default_factory=list)
     class_of: list = field(default_factory=list)
     class_reps: list = field(default_factory=list)
     conj_maps: list = field(default_factory=list)
@@ -230,6 +235,14 @@ class ElementTable:
 
     def class_members(self, cid):
         return [i for i, c in enumerate(self.class_of) if c == cid]
+
+    def word(self, i):
+        """Generator indices t_1..t_m with elements[i] = generators[t_1] * ... * generators[t_m]."""
+        w = []
+        while i:
+            i, t = self.parents[i]
+            w.append(t)
+        return w[::-1]
 
 
 def enumerate_elements(group, cap=DEFAULT_CAP):
@@ -245,15 +258,17 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
     e = identity(group.degree)
     elements = [e]
     index_of = {e: 0}
-    queue = deque([e])
-    while queue:
-        p = queue.popleft()
-        for g in group.generators:
+    parents = [None]
+    rmul = [[] for _ in group.generators]
+    for i, p in enumerate(elements):  # the list is the queue: it grows while it is read
+        for t, g in enumerate(group.generators):
             q = p * g
-            if q not in index_of:
-                index_of[q] = len(elements)
+            j = index_of.get(q)
+            if j is None:
+                j = index_of[q] = len(elements)
                 elements.append(q)
-                queue.append(q)
+                parents.append((i, t))
+            rmul[t].append(j)
     orders = [p.order() for p in elements]
     table = ElementTable(
         degree=group.degree,
@@ -262,6 +277,8 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
         index_of=index_of,
         order_of=orders,
         primes_of=[prime_factors(o) if o > 1 else frozenset() for o in orders],
+        rmul=[np.array(m, dtype=np.intp) for m in rmul],
+        parents=parents,
     )
     conjugacy_classes(table)
     return table

@@ -111,6 +111,7 @@ def check_degree(n):
 
 def identity(n):
     """The identity permutation of the given degree."""
+    check_degree(n)
     return tuple.__new__(Permutation, range(n))
 
 

@@ -201,22 +201,67 @@ class TestBfsAndDistance:
             assert rep.distances == dist[s]
 
 
+def brute_orbit(table, r, j):
+    # closure of j under j -> r*j, j -> j*r and j -> j^-1, by permutation products
+    x = table.elements[r]
+    orbit = {j}
+    frontier = [j]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            y = table.elements[m]
+            for z in (x * y, y * x, y.inverse()):
+                i = table.index_of[z]
+                if i not in orbit:
+                    orbit.add(i)
+                    nxt.append(i)
+        frontier = nxt
+    return orbit
+
+
 class TestReducedBuild:
-    def test_each_pair_of_classes_evaluated_once(self, monkeypatch):
-        # a representative is tested against its own and later classes only
+    def test_one_call_per_undecided_orbit(self, monkeypatch):
+        # a representative decides each orbit of j -> r*j, j*r, j^-1 that meets
+        # its own or later classes and that the primes of r and j leave open,
+        # once, at the orbit's least index
         table = catalog("dihedral", 30).element_table()
         calls = Counter()
         original = graph_module._adjacent_counted
 
         def counted(table, i, j, k):
-            calls[i] += 1
+            calls[i, j] += 1
             return original(table, i, j, k)
 
         monkeypatch.setattr(graph_module, "_adjacent_counted", counted)
         build_graph(table, mode="symmetry_reduced")
-        expected = {r: sum(c >= table.class_of[r] for c in table.class_of) for r in table.class_reps}
+        expected = Counter()
+        for r in table.class_reps:
+            orbits = {frozenset(brute_orbit(table, r, j)) for j in range(len(table))}
+            for orbit in orbits:
+                own = any(table.class_of[m] >= table.class_of[r] for m in orbit)
+                open_ = all(len(table.primes_of[r] | table.primes_of[m]) < 3 for m in orbit)
+                if own and open_:
+                    expected[r, min(orbit)] += 1
         assert calls == expected
-        assert sum(calls.values()) == 128
+        assert sum(calls.values()) == 38
+
+    @pytest.mark.parametrize("name", ["dihedral", "psl27", "sl23_example"])
+    def test_pair_maps_match_products(self, name):
+        table = catalog(name, 30 if name == "dihedral" else None).element_table()
+        lmul, inv = graph_module._mul_maps(table)
+        assert list(inv) == [table.index_of[y.inverse()] for y in table.elements]
+        for r in table.class_reps:
+            x = table.elements[r]
+            R, L = graph_module._rep_maps(table, lmul, r)
+            assert list(R) == [table.index_of[y * x] for y in table.elements]
+            assert list(L) == [table.index_of[x * y] for y in table.elements]
+
+    def test_reduced_matches_naive_at_k4(self):
+        table = direct_product(catalog("cyclic", 6), catalog("cyclic", 35)).element_table()
+        reduced = build_graph(table, k=4, mode="symmetry_reduced")
+        naive = build_graph(table, k=4, mode="naive")
+        assert np.array_equal(reduced.adjacency, naive.adjacency)
+        assert reduced.adjacency.any()
 
 
 @st.composite
@@ -237,6 +282,26 @@ class TestReducedAgainstNaive:
         reduced = build_graph(table, k=k, mode="symmetry_reduced")
         naive = build_graph(table, k=k, mode="naive")
         assert np.array_equal(reduced.adjacency, naive.adjacency)
+
+
+class TestCertificates:
+    # every answer given without a chain must be the exact one
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(
+        gens=st.integers(min_value=2, max_value=7).flatmap(
+            lambda n: st.lists(st.permutations(range(n)).map(Permutation), min_size=2, max_size=3)
+        ),
+        k=st.sampled_from([2, 3, 4]),
+        data=st.data(),
+    )
+    def test_certificates_are_sound(self, gens, k, data):
+        table = PermutationGroup(gens).element_table()
+        index = st.integers(min_value=0, max_value=len(table) - 1)
+        for i, j in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=30)):
+            hit, builds = graph_module._adjacent_counted(table, i, j, k)
+            if builds == 0 and i != j:
+                x, y = table.elements[i], table.elements[j]
+                assert hit == (len(prime_factors(two_generated_order(x, y))) >= k)
 
 
 class TestDiameter:

@@ -185,6 +185,18 @@ class TestEnumeration:
         assert table.elements[0].is_identity()
         assert len(set(table.elements)) == 30
 
+    @pytest.mark.parametrize("name,n", [("dihedral", 30), ("psl27", None), ("sl23_example", None)])
+    def test_products_and_words(self, name, n):
+        table = catalog(name, n).element_table()
+        gens = table.generators
+        for t, g in enumerate(gens):
+            assert list(table.rmul[t]) == [table.index_of[p * g] for p in table.elements]
+        for i, p in enumerate(table.elements):
+            q = identity(table.degree)
+            for t in table.word(i):
+                q = q * gens[t]
+            assert q == p
+
     def test_prime_sets(self):
         table = catalog("cyclic", 30).element_table()
         for i, o in enumerate(table.order_of):
@@ -414,6 +426,10 @@ class TestCatalog:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_trivial_group_over_the_bound(self):
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            PermutationGroup([], degree=5000)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,14 @@ class TestConstruction:
         assert e.is_identity()
         assert e.degree == 5
 
+    def test_identity_over_the_bound(self):
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            identity(5000)
+
+    def test_parsed_identity_over_the_bound(self):
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            parse_cycles("()", 5000)
+
 
 class TestCompose:
     def test_involution_squared(self):
