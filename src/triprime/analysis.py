@@ -136,13 +136,10 @@ def check_rdivides(table, normal_indices, x1, x2):
     """Search translates of x1, x2 by the normal p-subgroup whose span has
     order divisible by p."""
     p = _require_normal_prime_power(table, normal_indices)
-    e1 = table.elements[x1]
-    e2 = table.elements[x2]
+    (_, L1), (_, L2) = table.mul_maps(x1), table.mul_maps(x2)
     for n1 in normal_indices:
-        a = e1 * table.elements[n1]
         for n2 in normal_indices:
-            b = e2 * table.elements[n2]
-            if two_generated_order(a, b) % p == 0:
+            if two_generated_order(table.elements[L1[n1]], table.elements[L2[n2]]) % p == 0:
                 return LemmaOutcome("translate_pair_divisible", "pass", witness=(n1, n2))
     return LemmaOutcome("translate_pair_divisible", "fail", witness=(x1, x2))
 
@@ -153,10 +150,9 @@ def check_fpf(table, normal_indices, x, y):
     p = _require_normal_prime_power(table, normal_indices)
     if centralizer_elements(table, normal_indices, x) != {0}:
         return LemmaOutcome("translate_single_divisible", "not-applicable", witness=x)
-    ex = table.elements[x]
-    ey = table.elements[y]
+    _, L = table.mul_maps(y)
     for n in normal_indices:
-        if two_generated_order(ex, ey * table.elements[n]) % p == 0:
+        if two_generated_order(table.elements[x], table.elements[L[n]]) % p == 0:
             return LemmaOutcome("translate_single_divisible", "pass", witness=n)
     return LemmaOutcome("translate_single_divisible", "fail", witness=(x, y))
 

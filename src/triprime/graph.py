@@ -6,7 +6,9 @@ by any group element is a graph automorphism, which licenses computing
 adjacency rows and eccentricities at conjugacy-class representatives only.
 Within the row of a representative r, the entry of j depends only on
 <r, j>, which j -> r*j, j -> j*r and j -> j^-1 leave unchanged, so one entry
-is decided per orbit of these maps.
+is decided per orbit of these maps. The reduced build reads every product off
+the element table's index maps; only the per-pair predicate multiplies
+permutations.
 """
 
 import multiprocessing
@@ -99,13 +101,18 @@ def pool_map(fn, items, jobs):
     """Yield fn(item) for each item, in input order.
 
     jobs <= 1 runs in-process; otherwise the items are spread over one pool
-    of `jobs` forked worker processes.
+    of `jobs` forked worker processes; only the items and results are pickled.
     """
     if jobs <= 1:
         yield from map(fn, items)
         return
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        yield from pool.imap(fn, items)
+    # setattr runs in each forked worker, which inherits fn without pickling it
+    with multiprocessing.get_context("fork").Pool(jobs, setattr, (_in_worker, "fn", fn)) as pool:
+        yield from pool.imap(_in_worker, items)
+
+
+def _in_worker(item):
+    return _in_worker.fn(item)
 
 
 def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
@@ -139,44 +146,20 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
                      isolated=isolated, vertices=vertices, chain_builds=builds)
 
 
-def _mul_maps(table):
-    """(lmul, inv): lmul[t][i] is the index of generators[t] * elements[i] and
-    inv[i] the index of elements[i]^-1, read off the enumeration's products
-    and the conjugation maps with no permutation product."""
-    # g * p = (g p g^-1) * g, and g p g^-1 is p conjugated by g^-1
-    lmul = [m[np.argsort(c)] for m, c in zip(table.rmul, table.conj_maps)]
-    unmul = [np.argsort(m) for m in lmul]  # unmul[t][i]: index of generators[t]^-1 * elements[i]
-    inv = np.zeros(len(table.elements), dtype=np.intp)
-    for i in range(1, len(table.elements)):  # (p g)^-1 = g^-1 p^-1, parents first
-        p, t = table.parents[i]
-        inv[i] = unmul[t][inv[p]]
-    return lmul, inv
-
-
-def _rep_maps(table, lmul, rep):
-    """(R, L): R[j] is the index of elements[j] * r and L[j] that of
-    r * elements[j], r = elements[rep], composed along a word for r."""
-    word = table.word(rep)
-    R = L = np.arange(len(table.elements))
-    for t in word:
-        R = table.rmul[t][R]
-    for t in reversed(word):
-        L = lmul[t][L]
-    return R, L
-
-
-def _row(table, k, lmul, inv, prime_mask, rep):
+def _row(table, k, prime_mask, rep):
     """Adjacency entries of one class representative in its own and later
     classes, with its count of chain constructions; the rest stay False.
 
     <r, j> is the same subgroup for every j in one orbit of j -> r*j,
     j -> j*r and j -> j^-1, so the row is constant on these orbits. An orbit
-    is adjacent when the primes of r and of one member already reach k;
-    every other orbit that meets the own or later classes is decided once,
-    at its least index.
+    is adjacent when the primes of r and of one member already reach k, and
+    otherwise not when its members commute with r (R == L): <r, j> is then
+    abelian, with the primes of r and j. Every other orbit that meets the
+    own or later classes is decided once, at its least index.
     """
     n = len(table.elements)
-    R, L = _rep_maps(table, lmul, rep)
+    R, L = table.mul_maps(rep)
+    commuting = R == L
     # min-label propagation along R^(2^s) and L^(2^s): after s rounds
     # label[j] is the least index of r^a * j * r^b, 0 <= a, b < 2^s
     label = np.arange(n)
@@ -184,13 +167,13 @@ def _row(table, k, lmul, inv, prime_mask, rep):
         label = np.minimum(label, label[R])
         label = np.minimum(label, label[L])
         R, L = R[R], L[L]
-    label = np.minimum(label, label[inv])
+    label = np.minimum(label, label[table.inv])
     hit = np.zeros(n, dtype=bool)
     hit[label[(prime_mask | prime_mask[:, rep, None]).sum(axis=0) >= k]] = True
     own = np.asarray(table.class_of) >= table.class_of[rep]
     undecided = np.zeros(n, dtype=bool)
     undecided[label[own]] = True
-    undecided &= ~hit
+    undecided &= ~(hit | commuting)  # an orbit commutes with r in all members or in none
     builds = 0
     for m in np.flatnonzero(undecided):
         hit[m], b = _adjacent_counted(table, rep, int(m), k)
@@ -204,11 +187,10 @@ def _build_reduced(table, k, adjacency, jobs):
     # classes in order: earlier rows are complete, so the representative's
     # column holds its entries in earlier classes; the row of x^g at
     # position j^g equals the row of x at position j
-    lmul, inv = _mul_maps(table)
     primes = prime_factors(len(table.elements))
     prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes])  # (primes, n)
     builds = 0
-    rows = pool_map(partial(_row, table, k, lmul, inv, prime_mask), table.class_reps, jobs)
+    rows = pool_map(partial(_row, table, k, prime_mask), table.class_reps, jobs)
     for rep, tree, (row, b) in zip(table.class_reps, table.class_trees, rows):
         adjacency[rep] = row | adjacency[:, rep]
         for y, x, t in tree:

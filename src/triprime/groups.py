@@ -208,13 +208,15 @@ class PermutationGroup:
 class ElementTable:
     """Exhaustive indexed listing of a group's elements with cached invariants.
 
-    Index 0 is the identity. rmul[t] and conj_maps[t] are np.intp arrays:
-    rmul[t][i] = index_of[elements[i] * generators[t]] and
-    conj_maps[t][i] = index_of[elements[i] ^ generators[t]]. parents[i] =
-    (p, t) for i >= 1 says that the enumeration first reached elements[i] as
-    elements[p] * generators[t]. class_trees[c] lists the steps (y, x, t),
-    y = conj_maps[t][x], that first reached each non-representative y of
-    class c, parents first.
+    Index 0 is the identity. parents[i] = (p, t) for i >= 1 says that the
+    enumeration first reached elements[i] as elements[p] * generators[t]
+    (parents first). The np.intp index arrays below are read off the
+    enumeration's products along parents, with no permutation product: for
+    g = generators[t], rmul[t][i], lmul[t][i] and conj_maps[t][i] are the
+    indices of elements[i] * g, g * elements[i] and g^-1 * elements[i] * g,
+    and inv[i] that of elements[i]^-1. class_trees[c] lists the steps
+    (y, x, t), y = conj_maps[t][x], that first reached each
+    non-representative y of class c, parents first.
     """
 
     degree: int
@@ -224,6 +226,8 @@ class ElementTable:
     order_of: list
     primes_of: list
     rmul: list = field(default_factory=list)
+    lmul: list = field(default_factory=list)
+    inv: np.ndarray = None
     parents: list = field(default_factory=list)
     class_of: list = field(default_factory=list)
     class_reps: list = field(default_factory=list)
@@ -243,6 +247,14 @@ class ElementTable:
             i, t = self.parents[i]
             w.append(t)
         return w[::-1]
+
+    def mul_maps(self, i):
+        """(R, L): R[j] is the index of elements[j] * elements[i] and L[j]
+        that of elements[i] * elements[j], composed along word(i)."""
+        R = L = np.arange(len(self.elements))
+        for t in self.word(i):
+            R, L = self.rmul[t][R], L[self.lmul[t]]
+        return R, L
 
 
 def enumerate_elements(group, cap=DEFAULT_CAP):
@@ -269,6 +281,15 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
                 elements.append(q)
                 parents.append((i, t))
             rmul[t].append(j)
+    # g * (p * s) = (g * p) * s and (p * s)^-1 = s^-1 * p^-1, parents first
+    lmul = [[m[0]] * len(elements) for m in rmul]
+    for i, (p, s) in enumerate(parents[1:], 1):
+        for m in lmul:
+            m[i] = rmul[s][m[p]]
+    unmul = [np.argsort(m).tolist() for m in lmul]  # unmul[t][i]: index of g_t^-1 * elements[i]
+    inv = [0] * len(elements)
+    for i, (p, s) in enumerate(parents[1:], 1):
+        inv[i] = unmul[s][inv[p]]
     orders = [p.order() for p in elements]
     table = ElementTable(
         degree=group.degree,
@@ -278,14 +299,17 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
         order_of=orders,
         primes_of=[prime_factors(o) if o > 1 else frozenset() for o in orders],
         rmul=[np.array(m, dtype=np.intp) for m in rmul],
+        lmul=[np.array(m, dtype=np.intp) for m in lmul],
+        inv=np.array(inv, dtype=np.intp),
         parents=parents,
+        conj_maps=[np.array(m, dtype=np.intp)[u] for m, u in zip(rmul, unmul)],
     )
     conjugacy_classes(table)
     return table
 
 
 def conjugacy_classes(table):
-    """Fill class ids, representatives, conjugation maps and class trees.
+    """Fill class ids, representatives and class trees from table.conj_maps.
 
     Classes are the orbits of conjugation by the generators; the
     representative of each class is its least element index.
@@ -294,8 +318,7 @@ def conjugacy_classes(table):
     class_of = [-1] * n
     reps = []
     trees = []
-    gen_pairs = [(g.inverse(), g) for g in table.generators]
-    maps = [[table.index_of[ginv * p * g] for p in table.elements] for ginv, g in gen_pairs]
+    maps = [m.tolist() for m in table.conj_maps]
     for i in range(n):
         if class_of[i] >= 0:
             continue
@@ -303,26 +326,24 @@ def conjugacy_classes(table):
         reps.append(i)
         class_of[i] = cid
         trees.append([])
-        queue = deque([i])
-        while queue:
-            x = queue.popleft()
+        members = [i]
+        for x in members:  # the list is the queue: it grows while it is read
             for t, m in enumerate(maps):
                 y = m[x]
                 if class_of[y] < 0:
                     class_of[y] = cid
                     trees[cid].append((y, x, t))
-                    queue.append(y)
+                    members.append(y)
     table.class_of = class_of
     table.class_reps = reps
-    table.conj_maps = [np.array(m, dtype=np.intp) for m in maps]
     table.class_trees = trees
     return table
 
 
 def centralizer_elements(table, subset, x):
     """Indices n in `subset` with elements[n] * elements[x] = elements[x] * elements[n]."""
-    px = table.elements[x]
-    return {i for i in subset if table.elements[i] * px == px * table.elements[i]}
+    R, L = table.mul_maps(x)
+    return {i for i in subset if R[i] == L[i]}
 
 
 def normal_closure(group, seeds):

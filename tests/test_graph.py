@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from triprime.graph import (
     distance,
     eccentricities,
     neighbor_order_profile,
+    pool_map,
 )
 from triprime.groups import PermutationGroup, catalog, direct_product, two_generated_order
 from triprime.perm import Permutation
@@ -219,11 +221,37 @@ def brute_orbit(table, r, j):
     return orbit
 
 
+class ReduceCounter:
+    """Counts how often it is pickled."""
+
+    def __init__(self, offset):
+        self.offset = offset
+        self.reduced = 0
+
+    def __reduce__(self):
+        self.reduced += 1
+        return ReduceCounter, (self.offset,)
+
+
+def add_offset(counter, item):
+    return counter.offset + item
+
+
+class TestPoolMap:
+    def test_fn_is_not_pickled(self):
+        # forked workers inherit fn; only the items and results cross the pipe
+        counter = ReduceCounter(10)
+        fn = partial(add_offset, counter)
+        serial = list(pool_map(fn, range(6), 1))
+        assert list(pool_map(fn, range(6), 2)) == serial == list(range(10, 16))
+        assert counter.reduced == 0
+
+
 class TestReducedBuild:
     def test_one_call_per_undecided_orbit(self, monkeypatch):
         # a representative decides each orbit of j -> r*j, j*r, j^-1 that meets
-        # its own or later classes and that the primes of r and j leave open,
-        # once, at the orbit's least index
+        # its own or later classes, that the primes of r and j leave open and
+        # whose members do not commute with r, once, at the orbit's least index
         table = catalog("dihedral", 30).element_table()
         calls = Counter()
         original = graph_module._adjacent_counted
@@ -236,23 +264,24 @@ class TestReducedBuild:
         build_graph(table, mode="symmetry_reduced")
         expected = Counter()
         for r in table.class_reps:
+            x = table.elements[r]
             orbits = {frozenset(brute_orbit(table, r, j)) for j in range(len(table))}
             for orbit in orbits:
                 own = any(table.class_of[m] >= table.class_of[r] for m in orbit)
                 open_ = all(len(table.primes_of[r] | table.primes_of[m]) < 3 for m in orbit)
-                if own and open_:
+                commutes = all(x * table.elements[m] == table.elements[m] * x for m in orbit)
+                if own and open_ and not commutes:
                     expected[r, min(orbit)] += 1
         assert calls == expected
-        assert sum(calls.values()) == 38
+        assert sum(calls.values()) == 3
 
     @pytest.mark.parametrize("name", ["dihedral", "psl27", "sl23_example"])
     def test_pair_maps_match_products(self, name):
         table = catalog(name, 30 if name == "dihedral" else None).element_table()
-        lmul, inv = graph_module._mul_maps(table)
-        assert list(inv) == [table.index_of[y.inverse()] for y in table.elements]
+        assert list(table.inv) == [table.index_of[y.inverse()] for y in table.elements]
         for r in table.class_reps:
             x = table.elements[r]
-            R, L = graph_module._rep_maps(table, lmul, r)
+            R, L = table.mul_maps(r)
             assert list(R) == [table.index_of[y * x] for y in table.elements]
             assert list(L) == [table.index_of[x * y] for y in table.elements]
 
@@ -266,10 +295,15 @@ class TestReducedBuild:
 
 @st.composite
 def small_groups(draw):
-    """A subgroup of S_n, n <= 5, on 2-3 random generators."""
-    n = draw(st.integers(min_value=2, max_value=5))
-    perms = st.permutations(range(n)).map(Permutation)
-    return PermutationGroup(draw(st.lists(perms, min_size=2, max_size=3)))
+    """A subgroup of S_n, n <= 8, of order at most 200: of 2-4 random
+    generators, each is kept only when the group stays that small, so no
+    draw is rejected and the naive oracle stays fast."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    gens = []
+    for g in draw(st.lists(st.permutations(range(n)).map(Permutation), min_size=2, max_size=4)):
+        if PermutationGroup(gens + [g]).order() <= 200:
+            gens.append(g)
+    return PermutationGroup(gens)
 
 
 class TestReducedAgainstNaive:
@@ -282,6 +316,11 @@ class TestReducedAgainstNaive:
         reduced = build_graph(table, k=k, mode="symmetry_reduced")
         naive = build_graph(table, k=k, mode="naive")
         assert np.array_equal(reduced.adjacency, naive.adjacency)
+        # eccentricity is constant on classes, so class representatives suffice
+        assert diameter(reduced, per_vertex=True) == diameter(reduced)
+        ecc = eccentricities(reduced, reduced.vertices)
+        for cid in range(len(table.class_reps)):
+            assert len({ecc[m] for m in table.class_members(cid) if m in ecc}) <= 1
 
 
 class TestCertificates:

@@ -141,6 +141,29 @@ class TestChainAgainstClosure:
             assert gens_at == [g for g in chain.gens[0] if all(g[b] == b for b in prefix)]
 
 
+class TestIndexLayer:
+    # every index map of the table against the permutation products it stands for
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(gens=small_subgroups(), data=st.data())
+    def test_index_maps_match_products(self, gens, data):
+        table = PermutationGroup(gens).element_table()
+        elements, index_of = table.elements, table.index_of
+        for t, g in enumerate(table.generators):
+            assert list(table.rmul[t]) == [index_of[p * g] for p in elements]
+            assert list(table.lmul[t]) == [index_of[g * p] for p in elements]
+            assert list(table.conj_maps[t]) == [index_of[p.conjugate(g)] for p in elements]
+        assert list(table.inv) == [index_of[p.inverse()] for p in elements]
+        index = st.integers(min_value=0, max_value=len(table) - 1)
+        for i in data.draw(st.lists(index, min_size=1, max_size=3)):
+            x = elements[i]
+            R, L = table.mul_maps(i)
+            assert list(R) == [index_of[p * x] for p in elements]
+            assert list(L) == [index_of[x * p] for p in elements]
+            subset = set(data.draw(st.lists(index, max_size=20)))
+            expected = {m for m in subset if elements[m] * x == x * elements[m]}
+            assert centralizer_elements(table, subset, i) == expected
+
+
 class TestContains:
     def test_identity_in_any_group(self):
         for g in (catalog("dihedral", 30), catalog("alternating", 5)):
@@ -191,6 +214,8 @@ class TestEnumeration:
         gens = table.generators
         for t, g in enumerate(gens):
             assert list(table.rmul[t]) == [table.index_of[p * g] for p in table.elements]
+            assert list(table.lmul[t]) == [table.index_of[g * p] for p in table.elements]
+        assert list(table.inv) == [table.index_of[p.inverse()] for p in table.elements]
         for i, p in enumerate(table.elements):
             q = identity(table.degree)
             for t in table.word(i):
