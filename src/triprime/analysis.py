@@ -103,10 +103,10 @@ class LemmaOutcome:
         return d
 
 
-def check_higman(group, table, graph):
+def check_higman(solvable, table, graph):
     """For solvable groups: all prime-power orders forces at most two primes
     dividing |G|, and a non-empty vertex set forces a multi-prime element."""
-    if not is_solvable(group):
+    if not solvable:
         return LemmaOutcome("higman", "not-applicable")
     sigma = sigma_set(table)
     eppo = not sigma
@@ -268,7 +268,7 @@ def verify_theorem(group, cap=100_000, jobs=1, name=None, table=None, graph=None
     else:
         lemmas.append(LemmaOutcome("vertex_near_sigma", "not-applicable"))
 
-    lemmas.append(check_higman(group, table, graph))
+    lemmas.append(check_higman(solvable, table, graph))
 
     # solvable three-prime group with diameter > 4 forces a two-edge path prime graph
     applicable = solvable and len(primes) == 3 and diam.status == "connected" and diam.value > 4

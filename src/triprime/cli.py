@@ -60,12 +60,12 @@ def _resolve_group(args):
     return load_group(args.file)
 
 
-def _emit(text, out):
+def _emit(write, out, stream=None):
+    """Return write(fh) on the file `out`, or else on `stream` (default stdout)."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            return write(fh)
+    return write(stream or sys.stdout)
 
 
 def cmd_info(args):
@@ -80,7 +80,7 @@ def cmd_info(args):
         "class_count": len(table.class_reps),
         "order_histogram": dict(sorted(Counter(table.order_of).items())),
     }
-    _emit(json.dumps(info, indent=2) + "\n", args.out)
+    _emit(lambda fh: fh.write(json.dumps(info, indent=2) + "\n"), args.out)
     return 0
 
 
@@ -90,13 +90,9 @@ def cmd_graph(args):
     group = _resolve_group(args)
     table = group.element_table(args.cap)
     graph = build_graph(table, k=args.k, jobs=args.jobs)
-    _emit(exports.FORMATS[args.format](graph), args.out)
+    _emit(lambda fh: exports.FORMATS[args.format](graph, fh), args.out)
     summary = json.dumps(exports.summary(graph), sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out + ".summary.json", "w", encoding="utf-8") as fh:
-            fh.write(summary)
-    else:
-        sys.stderr.write(summary)
+    _emit(lambda fh: fh.write(summary), args.out and args.out + ".summary.json", sys.stderr)
     return 0
 
 
@@ -136,18 +132,16 @@ def cmd_verify(args):
     else:
         groups = [_resolve_group(args)]
     payloads = [(g.name, g.generators, g.degree, args.cap) for g in groups]
-    all_ok = True
-    out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
-    try:
-        target = out_fh or sys.stdout
+
+    def write(fh):
+        all_ok = True
         for record, ok in pool_map(_verify_one, payloads, args.jobs):
-            target.write(json.dumps(record, sort_keys=True) + "\n")
-            target.flush()
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.flush()
             all_ok &= ok
-    finally:
-        if out_fh:
-            out_fh.close()
-    return 0 if all_ok else 1
+        return all_ok
+
+    return 0 if _emit(write, args.out) else 1
 
 
 def build_parser():

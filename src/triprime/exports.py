@@ -1,10 +1,10 @@
 """Deterministic graph exports: DOT, GraphML, CSV edge list, JSON.
 
 Vertices are labeled "index:cycles:order"; isolated vertices are excluded.
+Each writer streams to a text handle, one adjacency row at a time.
 """
 
 import csv
-import io
 import json
 from xml.sax.saxutils import escape
 
@@ -18,60 +18,65 @@ def vertex_label(table, i):
 
 
 def edge_list(graph):
-    """Sorted (i, j) pairs with i < j."""
-    ii, jj = np.nonzero(np.triu(graph.adjacency))
-    return list(zip(ii.tolist(), jj.tolist()))
+    """(i, js) for each non-isolated i, ascending; js are its neighbours j > i, sorted."""
+    adjacency = graph.adjacency
+    for i in graph.vertices.tolist():
+        yield i, (np.flatnonzero(adjacency[i, i + 1:]) + i + 1).tolist()
 
 
-def to_dot(graph):
-    table = graph.table
-    lines = ["graph triprime {"]
-    for v in graph.vertices:
-        lines.append(f'  n{int(v)} [label="{vertex_label(table, int(v))}"];')
-    for i, j in edge_list(graph):
-        lines.append(f"  n{i} -- n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def to_dot(graph, fh):
+    fh.write("graph triprime {\n")
+    for v in graph.vertices.tolist():
+        fh.write(f'  n{v} [label="{vertex_label(graph.table, v)}"];\n')
+    for i, js in edge_list(graph):
+        fh.write("".join(f"  n{i} -- n{j};\n" for j in js))
+    fh.write("}\n")
 
 
-def to_graphml(graph):
-    table = graph.table
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="label" for="node" attr.name="label" attr.type="string"/>',
-        '  <graph id="triprime" edgedefault="undirected">',
-    ]
-    for v in graph.vertices:
-        label = escape(vertex_label(table, int(v)))
-        lines.append(f'    <node id="n{int(v)}"><data key="label">{label}</data></node>')
-    for i, j in edge_list(graph):
-        lines.append(f'    <edge source="n{i}" target="n{j}"/>')
-    lines += ["  </graph>", "</graphml>"]
-    return "\n".join(lines) + "\n"
+def to_graphml(graph, fh):
+    fh.write(
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+        '  <key id="label" for="node" attr.name="label" attr.type="string"/>\n'
+        '  <graph id="triprime" edgedefault="undirected">\n'
+    )
+    for v in graph.vertices.tolist():
+        label = escape(vertex_label(graph.table, v))
+        fh.write(f'    <node id="n{v}"><data key="label">{label}</data></node>\n')
+    for i, js in edge_list(graph):
+        fh.write("".join(f'    <edge source="n{i}" target="n{j}"/>\n' for j in js))
+    fh.write("  </graph>\n</graphml>\n")
 
 
-def to_csv(graph):
-    table = graph.table
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def to_csv(graph, fh):
+    labels = {v: vertex_label(graph.table, v) for v in graph.vertices.tolist()}
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["source", "target"])
-    writer.writerows((vertex_label(table, i), vertex_label(table, j)) for i, j in edge_list(graph))
-    return buf.getvalue()
+    for i, js in edge_list(graph):
+        writer.writerows((labels[i], labels[j]) for j in js)
 
 
-def to_json(graph):
+def to_json(graph, fh):
+    """json.dumps(payload, indent=2, sort_keys=True) byte for byte. The rows go
+    in place of '"edges": []', which sorts first; labels cannot contain it."""
     table = graph.table
     payload = {
         "k": graph.k,
         "vertices": [
-            {"id": int(v), "label": vertex_label(table, int(v)), "order": int(table.order_of[v])}
-            for v in graph.vertices
+            {"id": v, "label": vertex_label(table, v), "order": int(table.order_of[v])}
+            for v in graph.vertices.tolist()
         ],
-        "edges": [[i, j] for i, j in edge_list(graph)],
+        "edges": [],
         "isolated_count": int(graph.isolated.sum()),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    head, tail = json.dumps(payload, indent=2, sort_keys=True).split('"edges": []', 1)
+    fh.write(head + '"edges": [')
+    sep = "\n"
+    for i, js in edge_list(graph):
+        if js:
+            fh.write(sep + ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for j in js))
+            sep = ",\n"
+    fh.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
 
 
 FORMATS = {"dot": to_dot, "graphml": to_graphml, "csv": to_csv, "json": to_json}

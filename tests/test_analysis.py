@@ -12,7 +12,7 @@ from triprime.analysis import (
 )
 from triprime import graph as graphmod
 from triprime.graph import build_graph
-from triprime.groups import catalog, direct_product
+from triprime.groups import catalog, direct_product, is_solvable
 from triprime.primes import is_squarefree, prime_factors
 
 
@@ -139,14 +139,14 @@ class TestPathOnThree:
 
 class TestHigman:
     def test_d30_passes(self, d30):
-        out = check_higman(d30.group, d30.table, d30.graph)
+        out = check_higman(is_solvable(d30.group), d30.table, d30.graph)
         assert out.outcome == "pass"
 
     def test_two_prime_group_vacuous(self):
         group = catalog("sl23")
         table = group.element_table()
         graph = build_graph(table)
-        assert check_higman(group, table, graph).outcome == "pass"
+        assert check_higman(is_solvable(group), table, graph).outcome == "pass"
 
     def test_psl27_not_applicable(self):
         # non-solvable, and notably all its element orders are prime powers
@@ -154,7 +154,13 @@ class TestHigman:
         table = group.element_table()
         assert set(table.order_of) == {1, 2, 3, 4, 7}
         graph = build_graph(table)
-        assert check_higman(group, table, graph).outcome == "not-applicable"
+        assert check_higman(is_solvable(group), table, graph).outcome == "not-applicable"
+
+    def test_verify_derives_solvability_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("triprime.analysis.is_solvable", lambda g: calls.append(g) or is_solvable(g))
+        verify_theorem(catalog("dihedral", 30))
+        assert len(calls) == 1
 
 
 def rotation_subgroup_indices(d30, power):

@@ -211,3 +211,19 @@ def test_alternating_below_one_rejected(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "--catalog", "dihedral", "--n", "30"],
+        ["graph", "--catalog", "dihedral", "--n", "30", "--format", "json"],
+        ["verify", "--catalog", "dihedral", "--n", "30"],
+    ],
+    ids=["info", "graph", "verify"],
+)
+def test_out_in_missing_directory(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "out.txt"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
