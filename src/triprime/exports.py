@@ -1,7 +1,9 @@
 """Deterministic graph exports: DOT, GraphML, CSV edge list, JSON.
 
 Vertices are labeled "index:cycles:order"; isolated vertices are excluded.
-Each writer streams to a text handle, one adjacency row at a time.
+Each writer streams to a text handle, one adjacency row at a time. It formats
+one string per vertex once (the decimal index, or the CSV-quoted label), and
+each row is one join of its neighbours' strings between the row's fixed parts.
 """
 
 import csv
@@ -17,19 +19,31 @@ def vertex_label(table, i):
     return f"{i}:{format_cycles(table.elements[i])}:{table.order_of[i]}"
 
 
-def edge_list(graph):
-    """(i, js) for each non-isolated i, ascending; js are its neighbours j > i, sorted."""
+def edge_list(graph, names):
+    """(i, names[js]) for each i with neighbours js > i, ascending; js sorted."""
     adjacency = graph.adjacency
     for i in graph.vertices.tolist():
-        yield i, (np.flatnonzero(adjacency[i, i + 1:]) + i + 1).tolist()
+        js = np.flatnonzero(adjacency[i, i + 1:])
+        if len(js):
+            yield i, names[js + i + 1]
+
+
+def _index_names(graph):
+    return np.array([str(v) for v in range(graph.n)], dtype=object)
+
+
+def _write_rows(fh, graph, names, head, end):
+    """One write per row i: head.format(names[i]) + names[j] + end for each edge."""
+    for i, row in edge_list(graph, names):
+        h = head.format(names[i])
+        fh.write(h + (end + h).join(row) + end)
 
 
 def to_dot(graph, fh):
     fh.write("graph triprime {\n")
     for v in graph.vertices.tolist():
         fh.write(f'  n{v} [label="{vertex_label(graph.table, v)}"];\n')
-    for i, js in edge_list(graph):
-        fh.write("".join(f"  n{i} -- n{j};\n" for j in js))
+    _write_rows(fh, graph, _index_names(graph), "  n{} -- n", ";\n")
     fh.write("}\n")
 
 
@@ -43,17 +57,21 @@ def to_graphml(graph, fh):
     for v in graph.vertices.tolist():
         label = escape(vertex_label(graph.table, v))
         fh.write(f'    <node id="n{v}"><data key="label">{label}</data></node>\n')
-    for i, js in edge_list(graph):
-        fh.write("".join(f'    <edge source="n{i}" target="n{j}"/>\n' for j in js))
+    _write_rows(fh, graph, _index_names(graph), '    <edge source="n{}" target="n', '"/>\n')
     fh.write("  </graph>\n</graphml>\n")
 
 
+class _Echo:
+    """A csv.writer target: writerow returns the line it formats."""
+    write = staticmethod(lambda line: line)
+
+
 def to_csv(graph, fh):
-    labels = {v: vertex_label(graph.table, v) for v in graph.vertices.tolist()}
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["source", "target"])
-    for i, js in edge_list(graph):
-        writer.writerows((labels[i], labels[j]) for j in js)
+    line = csv.writer(_Echo(), lineterminator="\n").writerow
+    fh.write(line(["source", "target"]))
+    names = np.empty(graph.n, dtype=object)
+    names[graph.vertices] = [line([vertex_label(graph.table, v)])[:-1] for v in graph.vertices.tolist()]
+    _write_rows(fh, graph, names, "{},", "\n")
 
 
 def to_json(graph, fh):
@@ -72,10 +90,10 @@ def to_json(graph, fh):
     head, tail = json.dumps(payload, indent=2, sort_keys=True).split('"edges": []', 1)
     fh.write(head + '"edges": [')
     sep = "\n"
-    for i, js in edge_list(graph):
-        if js:
-            fh.write(sep + ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for j in js))
-            sep = ",\n"
+    for i, row in edge_list(graph, _index_names(graph)):
+        h = f"    [\n      {i},\n      "
+        fh.write(sep + h + ("\n    ],\n" + h).join(row) + "\n    ]")
+        sep = ",\n"
     fh.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
 
 
@@ -87,6 +105,6 @@ def summary(graph):
         "k": graph.k,
         "order": graph.n,
         "vertex_count": int(len(graph.vertices)),
-        "edge_count": int(graph.adjacency.sum()) // 2,
+        "edge_count": int(np.count_nonzero(graph.adjacency)) // 2,
         "isolated_count": int(graph.isolated.sum()),
     }

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -49,6 +50,7 @@ class TestFormatsParse:
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(group=small_groups(), k=st.sampled_from([2, 3]))
     @example(group=catalog("symmetric", 4), k=3)  # no edges, no vertices
+    @example(group=catalog("dihedral", 30), k=3)  # edges and isolated vertices
     def test_formats_parse_to_the_edge_set(self, group, k):
         graph = build_graph(group.element_table(), k=k)
         expected = [tuple(e) for e in np.argwhere(np.triu(graph.adjacency, 1)).tolist()]
@@ -74,6 +76,30 @@ class TestFormatsParse:
         assert dot.startswith("graph triprime {\n") and dot.endswith("}\n")
         assert [tuple(map(int, m)) for m in DOT_EDGE.findall(dot)] == expected
         assert dot.count(" [label=") == len(vertices)
+
+
+# sha256 of each writer's output encoded as UTF-8: the bytes stay fixed as the writers change
+PINNED = {
+    ("alternating", 6, 2): {
+        "csv": "ffa3933e7e91618ab6c5b34b5cf27914f022988e108d7e21e7308035173702c9",
+        "dot": "0db9d762cb3cdc6b7e935c68aea203728f8c3459eb570af7297d456586a4cfb4",
+        "graphml": "56cbed30f1e65df105edc281da065da11d420d71962da43ce459f307ebc2b87c",
+        "json": "139f41a2543d582a52d81ef5ff9a319c2d5917a574b376b92042cb8ac296557c",
+    },
+    ("dihedral", 30, 3): {
+        "csv": "f233106976744e1a466ba496921f635d87e61f0e8c740e2d3e58cf86ce780158",
+        "dot": "90d9327ae86824a1707c7e88b6183d1eefeb3e501b90fc3baf876e4f70431644",
+        "graphml": "d3d6a5683384939afc416b10f1de37448ee8ad60e025f081509db5880f1d38cf",
+        "json": "95ca036f8ad9301f235b579d8422d6a17fa7f84f43bc44e1ec119eb144554acd",
+    },
+}
+
+
+@pytest.mark.parametrize("family,n,k", sorted(PINNED))
+def test_writers_keep_their_bytes(family, n, k):
+    graph = build_graph(catalog(family, n).element_table(), k=k)
+    digests = {fmt: hashlib.sha256(written(fmt, graph).encode("utf-8")).hexdigest() for fmt in exports.FORMATS}
+    assert digests == PINNED[family, n, k]
 
 
 class _CountingSink:
