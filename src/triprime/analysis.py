@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import graph as graphmod
-from .groups import centralizer_elements, is_solvable, two_generated_order
+from .groups import DEFAULT_CAP, centralizer_elements, is_solvable, two_generated_order
 from .primes import is_squarefree, prime_factors
 
 
@@ -210,7 +210,7 @@ def _near_sigma_check(graph, sigma, sources, dist):
     return sources[missing[0]] if missing.size else None
 
 
-def verify_theorem(group, cap=100_000, jobs=1, name=None, table=None, graph=None):
+def verify_theorem(group, cap=DEFAULT_CAP, name=None, table=None, graph=None):
     """Build the graph for the group and adjudicate every applicable claim.
 
     Returns a VerificationReport; a claim that fails carries a concrete
@@ -219,7 +219,7 @@ def verify_theorem(group, cap=100_000, jobs=1, name=None, table=None, graph=None
     if table is None:
         table = group.element_table(cap)
     if graph is None:
-        graph = graphmod.build_graph(table, jobs=jobs)
+        graph = graphmod.build_graph(table)
     order = len(table.elements)
     primes = sorted(prime_factors(order))
     solvable = is_solvable(group)

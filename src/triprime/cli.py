@@ -55,6 +55,8 @@ def _add_spec_args(sub):
 def _resolve_group(args):
     if bool(args.catalog) == bool(args.file):
         raise UsageError("exactly one of --catalog or --file is required")
+    if args.n is not None and not args.catalog:
+        raise UsageError("--n is only valid with --catalog")
     if args.catalog:
         return catalog(args.catalog, args.n)
     return load_group(args.file)
@@ -99,14 +101,11 @@ def cmd_graph(args):
 def cmd_distance(args):
     group = _resolve_group(args)
     table = group.element_table(args.cap)
-    x = parse_cycles(args.x, group.degree)
-    y = parse_cycles(args.y, group.degree)
-    for label, p in (("x", x), ("y", y)):
-        if not group.contains(p):
+    i, j = (table.index_of.get(parse_cycles(getattr(args, label), group.degree)) for label in "xy")
+    for label, index in (("x", i), ("y", j)):
+        if index is None:
             raise UsageError(f"element {label} = {getattr(args, label)!r} is not in the group")
     graph = build_graph(table, k=args.k, jobs=args.jobs)
-    i = table.index_of[x]
-    j = table.index_of[y]
     if graph.isolated[i] or graph.isolated[j]:
         print("isolated")
         return 0
@@ -128,6 +127,8 @@ def _verify_one(payload):
 
 def cmd_verify(args):
     if args.catalog_all:
+        if args.catalog or args.file or args.n is not None:
+            raise UsageError("--catalog-all takes no --catalog, --file or --n")
         groups = standard_catalog()
     else:
         groups = [_resolve_group(args)]

@@ -8,6 +8,7 @@ for a fixed generator sequence.
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -399,33 +400,48 @@ def is_solvable(group):
 # -- catalog ---------------------------------------------------------------
 
 
+def _affine(p, mat, shift=None, nonzero=False):
+    """The map x -> mat*x + shift on (Z/p)^d as a permutation of points.
+
+    The vector v is the point v[0] + v[1]*p + ... + v[d-1]*p^(d-1). With
+    `nonzero`, only the nonzero vectors are points, each numbered one lower.
+    """
+    d = len(mat)
+    check_degree(p**d - nonzero)
+    shift = shift or [0] * d
+    weights = [p**c for c in range(d)]
+    images = []
+    for x in range(nonzero, p**d):
+        v = [x // c % p for c in weights]  # the digits of point x
+        w = [(sum(map(mul, row, v)) + s) % p for row, s in zip(mat, shift)]
+        images.append(sum(map(mul, w, weights)) - nonzero)
+    return Permutation(images)
+
+
+def _beside(a, b):
+    """a on the first len(a) points and b on the points after them."""
+    return Permutation(list(a) + [len(a) + i for i in b])
+
+
 def _cyclic(n):
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
-    check_degree(n)
-    if n == 1:
-        return PermutationGroup([identity(1)], name="cyclic(1)")
-    a = Permutation([(i + 1) % n for i in range(n)])
-    return PermutationGroup([a], name=f"cyclic({n})")
+    return PermutationGroup([_affine(n, [[1]], [1])], name=f"cyclic({n})")
 
 
 def _dihedral(order):
     if order < 6 or order % 2:
         raise ValueError("dihedral group needs an even order >= 6")
     m = order // 2
-    check_degree(m)
-    a = Permutation([(i + 1) % m for i in range(m)])
-    b = Permutation([(-i) % m for i in range(m)])
-    return PermutationGroup([a, b], name=f"dihedral({order})")
+    return PermutationGroup([_affine(m, [[1]], [1]), _affine(m, [[-1]])], name=f"dihedral({order})")
 
 
 def _symmetric(n):
     if n < 1:
         raise ValueError("symmetric group needs n >= 1")
-    check_degree(n)
+    cycle = _affine(n, [[1]], [1])
     if n == 1:
-        return PermutationGroup([identity(1)], name="symmetric(1)")
-    cycle = Permutation([(i + 1) % n for i in range(n)])
+        return PermutationGroup([cycle], name="symmetric(1)")
     swap = Permutation([1, 0] + list(range(2, n)))
     return PermutationGroup([swap, cycle], name=f"symmetric({n})")
 
@@ -433,88 +449,52 @@ def _symmetric(n):
 def _alternating(n):
     if n < 1:
         raise ValueError("alternating group needs n >= 1")
-    check_degree(n)
     if n < 3:
         return PermutationGroup([identity(n)], name=f"alternating({n})")
+    # an n-cycle for odd n; for even n, an (n-1)-cycle fixing point 0
+    cycle = _affine(n, [[1]], [1]) if n % 2 else _beside(identity(1), _affine(n - 1, [[1]], [1]))
     three = Permutation([1, 2, 0] + list(range(3, n)))
-    if n % 2:
-        cycle = Permutation([(i + 1) % n for i in range(n)])
-    else:
-        cycle = Permutation([0] + [1 + (i + 1) % (n - 1) for i in range(n - 1)])
     return PermutationGroup([three, cycle], name=f"alternating({n})")
 
 
 def _frobenius21():
     # C7 : C3, the affine maps x -> ax + b on F7 with a in {1, 2, 4}
-    shift = Permutation([(i + 1) % 7 for i in range(7)])
-    double = Permutation([(2 * i) % 7 for i in range(7)])
-    return PermutationGroup([shift, double], name="frobenius21")
+    return PermutationGroup([_affine(7, [[1]], [1]), _affine(7, [[2]])], name="frobenius21")
 
 
 def _psl27():
-    # GL(3, 2) acting on the 7 nonzero vectors of F_2^3; vector (b0,b1,b2)
-    # is encoded as the point b0 + 2*b1 + 4*b2 - 1.
-    def mat_perm(m):
-        images = []
-        for v in range(1, 8):
-            bits = [(v >> k) & 1 for k in range(3)]
-            w = [sum(m[r][c] * bits[c] for c in range(3)) % 2 for r in range(3)]
-            images.append(w[0] + 2 * w[1] + 4 * w[2] - 1)
-        return Permutation(images)
-
-    transvection = mat_perm([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    rotate = mat_perm([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    return PermutationGroup([transvection, rotate], name="psl27")
+    # GL(3, 2) acting on the 7 nonzero vectors of F_2^3
+    transvection = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    rotate = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    gens = [_affine(2, m, nonzero=True) for m in (transvection, rotate)]
+    return PermutationGroup(gens, name="psl27")
 
 
-def _sl23_mats():
-    s = [[0, 2], [1, 0]]
-    t = [[1, 1], [0, 1]]
-    return s, t
+# SL(2, 3) is generated by an order-4 and an order-3 matrix
+_SL23 = ([[0, 2], [1, 0]], [[1, 1], [0, 1]])
 
 
 def _sl23():
-    # SL(2, 3) acting on the 8 nonzero vectors of F_3^2; vector (x, y) is
-    # encoded as the point x + 3*y - 1.
-    def mat_perm(m):
-        images = []
-        for v in range(1, 9):
-            x, y = v % 3, v // 3
-            w = ((m[0][0] * x + m[0][1] * y) % 3, (m[1][0] * x + m[1][1] * y) % 3)
-            images.append(w[0] + 3 * w[1] - 1)
-        return Permutation(images)
-
-    s, t = _sl23_mats()
-    return PermutationGroup([mat_perm(s), mat_perm(t)], name="sl23")
+    # SL(2, 3) acting on the 8 nonzero vectors of F_3^2
+    return PermutationGroup([_affine(3, m, nonzero=True) for m in _SL23], name="sl23")
 
 
 def _sl23_example():
     """(C3 x C3 x C7) : SL(2,3), order 1512, as a degree-16 group.
 
-    Points 0-8 carry the affine plane F_3^2 (point x + 3*y) acted on by
-    translations and by SL(2,3) linearly. Points 9-15 carry F_7 acted on by
-    translation and, through the abelianization of SL(2,3), by x -> 2x.
+    Points 0-8 carry the affine plane F_3^2 acted on by translations and by
+    SL(2,3) linearly. Points 9-15 carry F_7 acted on by translation and,
+    through the abelianization of SL(2,3), by x -> 2x.
     """
-
-    def build(plane_mat, plane_shift, line_mult, line_shift):
-        images = []
-        for v in range(9):
-            x, y = v % 3, v // 3
-            nx = (plane_mat[0][0] * x + plane_mat[0][1] * y + plane_shift[0]) % 3
-            ny = (plane_mat[1][0] * x + plane_mat[1][1] * y + plane_shift[1]) % 3
-            images.append(nx + 3 * ny)
-        for u in range(7):
-            images.append(9 + (line_mult * u + line_shift) % 7)
-        return Permutation(images)
-
     eye = [[1, 0], [0, 1]]
-    s, t = _sl23_mats()
+    s, t = _SL23
+    plane, line = identity(9), identity(7)
     gens = [
-        build(eye, (1, 0), 1, 0),  # translation of the plane
-        build(eye, (0, 1), 1, 0),  # translation of the plane
-        build(eye, (0, 0), 1, 1),  # translation of the line
-        build(s, (0, 0), 1, 0),    # order-4 matrix, trivial on the line
-        build(t, (0, 0), 2, 0),    # order-3 matrix, doubling on the line
+        _beside(_affine(3, eye, [1, 0]), line),  # translation of the plane
+        _beside(_affine(3, eye, [0, 1]), line),  # translation of the plane
+        _beside(plane, _affine(7, [[1]], [1])),  # translation of the line
+        _beside(_affine(3, s), line),  # order-4 matrix, trivial on the line
+        _beside(_affine(3, t), _affine(7, [[2]])),  # order-3 matrix, doubling on the line
     ]
     return PermutationGroup(gens, name="sl23_example")
 
@@ -522,8 +502,8 @@ def _sl23_example():
 def direct_product(g, h, name=None):
     """Direct product acting on the disjoint union of the two point sets."""
     n, m = g.degree, h.degree
-    gens = [Permutation(list(a) + list(range(n, n + m))) for a in g.generators]
-    gens += [Permutation(list(range(n)) + [n + i for i in b]) for b in h.generators]
+    gens = [_beside(a, identity(m)) for a in g.generators]
+    gens += [_beside(identity(n), b) for b in h.generators]
     if name is None:
         name = f"{g.name or 'G'} x {h.name or 'H'}"
     return PermutationGroup(gens, degree=n + m, name=name)

@@ -227,3 +227,29 @@ def test_out_in_missing_directory(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["verify", "--catalog-all", "--file", "/nonexistent"], "--catalog-all"),
+        (["verify", "--catalog-all", "--file", "GROUP"], "--catalog-all"),
+        (["verify", "--catalog-all", "--catalog", "cyclic", "--n", "3"], "--catalog-all"),
+        (["verify", "--catalog-all", "--catalog", "frobenius21"], "--catalog-all"),
+        (["verify", "--catalog-all", "--n", "3"], "--catalog-all"),
+        (["info", "--file", "GROUP", "--n", "99"], "--n"),
+        (["graph", "--file", "GROUP", "--n", "3"], "--n"),
+        (["distance", "--file", "GROUP", "--n", "3", "(1,2)", "(1,2)"], "--n"),
+        (["verify", "--file", "GROUP", "--n", "3"], "--n"),
+    ],
+    ids=["all-missing-file", "all-file", "all-catalog-n", "all-catalog", "all-n",
+         "info-file-n", "graph-file-n", "distance-file-n", "verify-file-n"],
+)
+def test_conflicting_selectors_rejected(capsys, tmp_path, argv, reason):
+    path = tmp_path / "c6.grp"
+    path.write_text("degree: 6\ngen: (1,2,3,4,5,6)\n")
+    code, out, err = run(capsys, *[str(path) if a == "GROUP" else a for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert reason in err

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import random
 import tracemalloc
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from triprime.groups import (
     OrderCapExceeded,
+    _affine,
+    _beside,
     PermutationGroup,
     StabilizerChain,
     catalog,
@@ -20,6 +23,7 @@ from triprime.groups import (
     load_group,
     normal_closure,
     parse_group_text,
+    standard_catalog,
     two_generated_order,
 )
 from triprime.perm import Permutation, from_cycles, identity, parse_cycles
@@ -463,6 +467,59 @@ class TestCatalog:
             catalog("psl27", 7)
         with pytest.raises(ValueError):
             catalog("dihedral", 31)
+
+
+def _det(m, p):
+    if len(m) == 1:
+        return m[0][0] % p
+    minors = ([row[:c] + row[c + 1 :] for row in m[1:]] for c in range(len(m)))
+    return sum((-1) ** c * m[0][c] * _det(minor, p) for c, minor in enumerate(minors)) % p
+
+
+class TestAffineEncoder:
+    @pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1), (13, 1)])
+    @pytest.mark.parametrize("nonzero", [False, True])
+    def test_products_compose_matrices(self, p, d, nonzero):
+        rng = random.Random(p * 100 + d * 10 + nonzero)
+        for _ in range(20):
+            a, b = ([[rng.randrange(p) for _ in range(d)] for _ in range(d)] for _ in range(2))
+            for m in (a, b):
+                if not _det(m, p):
+                    with pytest.raises(ValueError):
+                        _affine(p, m, nonzero=nonzero)
+            if _det(a, p) and _det(b, p):
+                ba = [[sum(b[r][k] * a[k][c] for k in range(d)) % p for c in range(d)] for r in range(d)]
+                # products compose left to right: x -> A x, then -> B (A x)
+                product = _affine(p, a, nonzero=nonzero) * _affine(p, b, nonzero=nonzero)
+                assert product == _affine(p, ba, nonzero=nonzero)
+
+    def test_point_encoding(self):
+        # on F_3^2 the vector (x, y) is the point x + 3y; x -> x + (1, 2) sends 0 to 7
+        assert _affine(3, [[1, 0], [0, 1]], [1, 2])[0] == 7
+        # without the zero vector, (1, 0, 0) is point 0 and (0, 0, 1) is point 3
+        assert _affine(2, [[0, 0, 1], [1, 0, 0], [0, 1, 0]], nonzero=True)[3] == 0
+
+    def test_singular_matrix_is_refused(self):
+        with pytest.raises(ValueError):
+            _affine(3, [[1, 2], [2, 1]])
+
+    def test_beside(self):
+        a, b = Permutation([1, 2, 0]), Permutation([1, 0])
+        assert _beside(a, b) == Permutation([1, 2, 0, 4, 3])
+        assert _beside(a, b) * _beside(a, b) == _beside(a * a, b * b)
+
+
+def test_catalog_generators_are_pinned():
+    # every chain, table, label and output depends on these tuples and their order
+    sample = standard_catalog()
+    for name in ("cyclic", "symmetric", "alternating"):
+        sample += [catalog(name, k) for k in range(1, 12)]
+    sample += [catalog("dihedral", 2 * m) for m in range(3, 40)]
+    assert len(sample) == 86
+    listing = repr([(g.name, g.degree, [tuple(x) for x in g.generators]) for g in sample])
+    assert hashlib.sha256(listing.encode()).hexdigest() == (
+        "09dc2a38236570547cc259dc07a518b8f43c77a350909d3577d7f7a42bd5cf14"
+    )
 
 
 class TestGroupFiles:
