@@ -4,10 +4,12 @@ The harness adjudicates, per group: connectivity and the diameter bound 5 of
 the subgroup-prime-count graph, the dominating-element property, closeness of
 multi-prime-order elements, the solvable-group properties, and the shape of
 the prime graph whenever a solvable three-prime group with large diameter
-shows up.
+shows up. One rule decides every claim: not-applicable when it does not
+apply, else pass when it holds, else fail with a witness.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -50,28 +52,12 @@ class PrimeGraph:
 def prime_graph(table):
     vertices = prime_factors(len(table.elements))
     orders = set(table.order_of)
-    primes = sorted(vertices)
-    edges = set()
-    for a in range(len(primes)):
-        for b in range(a + 1, len(primes)):
-            if primes[a] * primes[b] in orders:
-                edges.add(frozenset((primes[a], primes[b])))
-    parent = {p: p for p in primes}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
+    edges = {frozenset((p, q)) for p, q in combinations(vertices, 2) if p * q in orders}
+    components = [{p} for p in vertices]
     for e in edges:
-        a, b = sorted(e)
-        parent[find(a)] = find(b)
-    comps = {}
-    for p in primes:
-        comps.setdefault(find(p), set()).add(p)
-    components = sorted(comps.values(), key=min)
-    return PrimeGraph(vertices=vertices, edges=edges, components=components)
+        joined = [c for c in components if c & e]
+        components = [c for c in components if not c & e] + [set().union(*joined)]
+    return PrimeGraph(vertices=vertices, edges=edges, components=sorted(components, key=min))
 
 
 def is_path_on_three(pg):
@@ -79,15 +65,10 @@ def is_path_on_three(pg):
     labeling (endpoint, center, endpoint); otherwise None."""
     if len(pg.vertices) != 3 or len(pg.edges) != 2:
         return None
-    degree = {p: 0 for p in pg.vertices}
-    for e in pg.edges:
-        for p in e:
-            degree[p] += 1
-    centers = [p for p, d in degree.items() if d == 2]
-    ends = sorted(p for p, d in degree.items() if d == 1)
-    if len(centers) != 1 or len(ends) != 2:
-        return None
-    return ends[0], centers[0], ends[1]
+    e, f = pg.edges  # two distinct edges on three vertices share exactly one
+    (center,) = e & f
+    a, b = sorted(e ^ f)
+    return a, center, b
 
 
 @dataclass
@@ -103,19 +84,23 @@ class LemmaOutcome:
         return d
 
 
+def _verdict(name, applicable, passed, witness):
+    """The rule for every claim: not-applicable, pass, or fail with the witness."""
+    if not applicable:
+        return LemmaOutcome(name, "not-applicable")
+    return LemmaOutcome(name, "pass") if passed else LemmaOutcome(name, "fail", witness=witness)
+
+
 def check_higman(solvable, table, graph):
     """For solvable groups: all prime-power orders forces at most two primes
     dividing |G|, and a non-empty vertex set forces a multi-prime element."""
-    if not solvable:
-        return LemmaOutcome("higman", "not-applicable")
-    sigma = sigma_set(table)
-    eppo = not sigma
-    if eppo and len(prime_factors(len(table.elements))) > 2:
-        return LemmaOutcome("higman", "fail", witness="all orders prime powers yet >2 primes")
-    if len(graph.vertices) > 0 and not sigma:
-        v = int(graph.vertices[0])
-        return LemmaOutcome("higman", "fail", witness=f"vertex {v} exists but sigma empty")
-    return LemmaOutcome("higman", "pass")
+    witness = None
+    if not sigma_set(table):
+        if len(prime_factors(len(table.elements))) > 2:
+            witness = "all orders prime powers yet >2 primes"
+        elif len(graph.vertices) > 0:
+            witness = f"vertex {int(graph.vertices[0])} exists but sigma empty"
+    return _verdict("higman", solvable, witness is None, witness)
 
 
 def _require_normal_prime_power(table, subset):
@@ -176,19 +161,9 @@ class VerificationReport:
         return all(l.outcome != "fail" for l in self.lemmas)
 
     def to_dict(self):
-        return {
-            "group": self.group,
-            "order": self.order,
-            "primes": self.primes,
-            "solvable": self.solvable,
-            "isolated_count": self.isolated_count,
-            "status": self.status,
-            "diameter": self.diameter,
-            "max_pi_tilde": self.max_pi_tilde,
-            "sigma_count": self.sigma_count,
-            "prime_graph": self.prime_graph,
-            "lemmas": [l.to_dict() for l in self.lemmas],
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["lemmas"] = [l.to_dict() for l in self.lemmas]
+        return d
 
 
 def _sigma_pair_check(graph, sigma, sources, dist):
@@ -228,74 +203,39 @@ def verify_theorem(group, cap=DEFAULT_CAP, name=None, table=None, graph=None):
     pg = prime_graph(table)
     sources, dist = graphmod.rep_distances(graph)
     diam = graphmod.diameter_from_rows(graph, sources, dist)
-    lemmas = []
+    nonempty = diam.status != "empty"
+    witness = diam.witness or diam.value  # a disconnected pair, else the diameter
 
-    def verdict(name_, applicable, passed, witness=None):
-        if not applicable:
-            lemmas.append(LemmaOutcome(name_, "not-applicable"))
-        elif passed:
-            lemmas.append(LemmaOutcome(name_, "pass"))
-        else:
-            lemmas.append(LemmaOutcome(name_, "fail", witness=witness))
+    def within(bound):
+        return diam.status == "connected" and diam.value <= bound
 
-    # main claim: nonempty graphs are connected with diameter at most 5
-    verdict(
-        "connected_diameter_le_5",
-        diam.status != "empty",
-        diam.status == "connected" and diam.value <= 5,
-        witness=diam.witness if diam.status == "disconnected" else diam.value,
-    )
-
-    # an element with >= 3 prime divisors dominates: no isolated vertices, diameter <= 2
-    verdict(
-        "dominating_element",
-        max_pi >= 3,
-        max_pi < 3 or (graph.isolated.sum() == 0 and diam.status == "connected" and diam.value <= 2),
-        witness=diam.value if diam.status == "connected" else diam.witness,
-    )
-
-    # elements with two-prime orders are pairwise within distance 2
-    if len(primes) >= 3:
-        bad = _sigma_pair_check(graph, sigma, sources, dist)
-        verdict("sigma_pairs_within_2", True, bad is None, witness=bad)
-    else:
-        lemmas.append(LemmaOutcome("sigma_pairs_within_2", "not-applicable"))
-
-    # solvable, some vertex: every vertex is within 2 of a sigma element
-    if solvable and len(graph.vertices) > 0:
-        bad = _near_sigma_check(graph, sigma, sources, dist)
-        verdict("vertex_near_sigma", True, bad is None, witness=bad)
-    else:
-        lemmas.append(LemmaOutcome("vertex_near_sigma", "not-applicable"))
-
-    lemmas.append(check_higman(solvable, table, graph))
-
-    # solvable three-prime group with diameter > 4 forces a two-edge path prime graph
-    applicable = solvable and len(primes) == 3 and diam.status == "connected" and diam.value > 4
-    verdict(
-        "large_diameter_prime_graph_path",
-        applicable,
-        (not applicable) or is_path_on_three(pg) is not None,
-        witness=sorted(tuple(sorted(e)) for e in pg.edges),
-    )
-
-    # solvable with >= 4 primes: diameter at most 3
-    applicable = solvable and len(primes) >= 4 and diam.status != "empty"
-    verdict(
-        "solvable_four_primes_diameter_le_3",
-        applicable,
-        (not applicable) or (diam.status == "connected" and diam.value <= 3),
-        witness=diam.witness or diam.value,
-    )
-
-    # solvable with exactly 3 primes: diameter at most 5
-    applicable = solvable and len(primes) == 3 and diam.status != "empty"
-    verdict(
-        "solvable_three_primes_diameter_le_5",
-        applicable,
-        (not applicable) or (diam.status == "connected" and diam.value <= 5),
-        witness=diam.witness or diam.value,
-    )
+    far_pair = _sigma_pair_check(graph, sigma, sources, dist)
+    far_vertex = _near_sigma_check(graph, sigma, sources, dist)
+    lemmas = [
+        # main claim: nonempty graphs are connected with diameter at most 5
+        _verdict("connected_diameter_le_5", nonempty, within(5), witness),
+        # an element with >= 3 prime divisors dominates: no isolated vertices, diameter <= 2
+        _verdict("dominating_element", max_pi >= 3, not graph.isolated.any() and within(2), witness),
+        # elements with two-prime orders are pairwise within distance 2
+        _verdict("sigma_pairs_within_2", len(primes) >= 3, far_pair is None, far_pair),
+        # solvable, some vertex: every vertex is within 2 of a sigma element
+        _verdict("vertex_near_sigma", solvable and len(graph.vertices) > 0,
+                 far_vertex is None, far_vertex),
+        check_higman(solvable, table, graph),
+        # solvable three-prime group with diameter > 4 forces a two-edge path prime graph
+        _verdict(
+            "large_diameter_prime_graph_path",
+            solvable and len(primes) == 3 and diam.status == "connected" and diam.value > 4,
+            is_path_on_three(pg) is not None,
+            sorted(tuple(sorted(e)) for e in pg.edges),
+        ),
+        # solvable with >= 4 primes: diameter at most 3
+        _verdict("solvable_four_primes_diameter_le_3", solvable and len(primes) >= 4 and nonempty,
+                 within(3), witness),
+        # solvable with exactly 3 primes: diameter at most 5
+        _verdict("solvable_three_primes_diameter_le_5", solvable and len(primes) == 3 and nonempty,
+                 within(5), witness),
+    ]
 
     return VerificationReport(
         group=name or group.name or f"degree-{group.degree} group",

@@ -7,13 +7,13 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import partial
 
 from . import exports
 from .analysis import verify_theorem
 from .graph import build_graph, distance, pool_map
 from .groups import (
     OrderCapExceeded,
-    PermutationGroup,
     catalog,
     is_solvable,
     load_group,
@@ -114,14 +114,12 @@ def cmd_distance(args):
     return 0
 
 
-def _verify_one(payload):
+def _verify_one(group, cap):
     """(report dict, ok) for one group; a group over the cap is reported, not failed."""
-    label, gens, degree, cap = payload
-    group = PermutationGroup(gens, degree=degree, name=label)
     try:
-        report = verify_theorem(group, cap=cap, name=label)
+        report = verify_theorem(group, cap=cap)
     except OrderCapExceeded as exc:
-        return {"group": label, "error": str(exc)}, True
+        return {"group": group.name, "error": str(exc)}, True
     return report.to_dict(), report.ok
 
 
@@ -132,11 +130,10 @@ def cmd_verify(args):
         groups = standard_catalog()
     else:
         groups = [_resolve_group(args)]
-    payloads = [(g.name, g.generators, g.degree, args.cap) for g in groups]
 
     def write(fh):
         all_ok = True
-        for record, ok in pool_map(_verify_one, payloads, args.jobs):
+        for record, ok in pool_map(partial(_verify_one, cap=args.cap), groups, args.jobs):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
             fh.flush()
             all_ok &= ok

@@ -8,7 +8,7 @@ each row is one join of its neighbours' strings between the row's fixed parts.
 
 import csv
 import json
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -55,7 +55,7 @@ def to_graphml(graph, fh):
         '  <graph id="triprime" edgedefault="undirected">\n'
     )
     for v in graph.vertices.tolist():
-        label = escape(vertex_label(graph.table, v))
+        label = escape(vertex_label(graph.table, v), quote=False)
         fh.write(f'    <node id="n{v}"><data key="label">{label}</data></node>\n')
     _write_rows(fh, graph, _index_names(graph), '    <edge source="n{}" target="n', '"/>\n')
     fh.write("  </graph>\n</graphml>\n")

@@ -98,16 +98,18 @@ class DiameterResult:
 
 
 def pool_map(fn, items, jobs):
-    """Yield fn(item) for each item, in input order.
+    """Yield fn(item) for each item of the sequence, in input order.
 
-    jobs <= 1 runs in-process; otherwise the items are spread over one pool
-    of `jobs` forked worker processes; only the items and results are pickled.
+    The items are spread over one pool of min(jobs, len(items)) forked worker
+    processes, never more workers than items, and run in-process when that is
+    at most one; only the items and results are pickled.
     """
-    if jobs <= 1:
+    workers = min(jobs, len(items))
+    if workers <= 1:
         yield from map(fn, items)
         return
     # setattr runs in each forked worker, which inherits fn without pickling it
-    with multiprocessing.get_context("fork").Pool(jobs, setattr, (_in_worker, "fn", fn)) as pool:
+    with multiprocessing.get_context("fork").Pool(workers, setattr, (_in_worker, "fn", fn)) as pool:
         yield from pool.imap(_in_worker, items)
 
 

@@ -291,14 +291,13 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
     inv = [0] * len(elements)
     for i, (p, s) in enumerate(parents[1:], 1):
         inv[i] = unmul[s][inv[p]]
-    orders = [p.order() for p in elements]
     table = ElementTable(
         degree=group.degree,
         generators=list(group.generators),
         elements=elements,
         index_of=index_of,
-        order_of=orders,
-        primes_of=[prime_factors(o) if o > 1 else frozenset() for o in orders],
+        order_of=None,
+        primes_of=None,
         rmul=[np.array(m, dtype=np.intp) for m in rmul],
         lmul=[np.array(m, dtype=np.intp) for m in lmul],
         inv=np.array(inv, dtype=np.intp),
@@ -306,6 +305,11 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
         conj_maps=[np.array(m, dtype=np.intp)[u] for m, u in zip(rmul, unmul)],
     )
     conjugacy_classes(table)
+    # order and prime set are class functions: one cycle decomposition per class
+    orders = [elements[r].order() for r in table.class_reps]
+    primes = [prime_factors(o) for o in orders]
+    table.order_of = [orders[c] for c in table.class_of]
+    table.primes_of = [primes[c] for c in table.class_of]
     return table
 
 

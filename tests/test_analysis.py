@@ -1,3 +1,7 @@
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from triprime.analysis import (
@@ -11,7 +15,7 @@ from triprime.analysis import (
     verify_theorem,
 )
 from triprime import graph as graphmod
-from triprime.graph import build_graph
+from triprime.graph import NonFGraph, build_graph
 from triprime.groups import catalog, direct_product, is_solvable
 from triprime.primes import is_squarefree, prime_factors
 
@@ -267,3 +271,36 @@ class TestVerifyTheorem:
         assert outcomes["solvable_four_primes_diameter_le_3"] == "pass"
         assert outcomes["dominating_element"] == "pass"
         assert report.diameter <= 2
+
+
+def _path_graph(table, skip=None):
+    """Hand-built graph with edges (i, i+1), i < n-1, except i = skip."""
+    n = len(table.elements)
+    A = np.zeros((n, n), dtype=bool)
+    for i in range(n - 1):
+        if i != skip:
+            A[i, i + 1] = A[i + 1, i] = True
+    return NonFGraph(table=table, k=3, adjacency=A, isolated=~A.any(axis=1),
+                     vertices=np.flatnonzero(A.any(axis=1)))
+
+
+def test_failing_verdicts_pinned():
+    # Every catalog claim passes, so this pins the "fail" outcomes and their
+    # witnesses on graphs that are not the group's own graph.
+    runs = []
+    for group in (catalog("dihedral", 30), catalog("frobenius21"), catalog("symmetric", 5)):
+        t = group.element_table()
+        n = len(t.elements)
+        runs += [(group, t, _path_graph(t)), (group, t, _path_graph(t, skip=n // 2)),
+                 (group, t, build_graph(t, k=2))]
+    group = direct_product(catalog("cyclic", 6), catalog("cyclic", 35))
+    t = group.element_table()
+    runs.append((group, t, _path_graph(t)))
+    reports = [verify_theorem(g, table=t, graph=graph) for g, t, graph in runs]
+    text = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8f7286e284e641530d8767f8c15088c5cf40138546541bf745fba4d489c48607"
+    )
+    failed = {l.name for r in reports for l in r.lemmas if l.outcome == "fail"}
+    assert failed == {l.name for l in reports[0].lemmas}
+    assert len(failed) == 8

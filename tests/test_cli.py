@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import triprime
 from triprime.cli import main
 
 
@@ -253,3 +257,13 @@ def test_conflicting_selectors_rejected(capsys, tmp_path, argv, reason):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert reason in err
+
+
+def test_cli_import_skips_urllib():
+    # xml.sax.saxutils would pull in urllib.request and http.client
+    src = os.path.dirname(os.path.dirname(triprime.__file__))
+    code = "import sys, triprime.cli; print('urllib.request' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

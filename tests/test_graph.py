@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 from collections import Counter
 from functools import partial
@@ -245,6 +246,21 @@ class TestPoolMap:
         serial = list(pool_map(fn, range(6), 1))
         assert list(pool_map(fn, range(6), 2)) == serial == list(range(10, 16))
         assert counter.reduced == 0
+
+    def test_never_more_workers_than_items(self, monkeypatch):
+        context = multiprocessing.get_context("fork")
+        real_pool = context.Pool
+        started = []
+
+        def recorder(processes, *args):
+            started.append(processes)
+            return real_pool(min(processes, 2), *args)
+
+        monkeypatch.setattr(context, "Pool", recorder)
+        assert list(pool_map(abs, [-1, -2], 64)) == [1, 2]
+        assert list(pool_map(abs, [-3], 64)) == [3]
+        assert list(pool_map(abs, [], 64)) == []
+        assert started == [2]
 
 
 class TestReducedBuild:
