@@ -91,12 +91,13 @@ def _verdict(name, applicable, passed, witness):
     return LemmaOutcome(name, "pass") if passed else LemmaOutcome(name, "fail", witness=witness)
 
 
-def check_higman(solvable, table, graph):
-    """For solvable groups: all prime-power orders forces at most two primes
-    dividing |G|, and a non-empty vertex set forces a multi-prime element."""
+def check_higman(solvable, sigma, graph):
+    """For solvable groups: all prime-power orders (an empty sigma_set) forces
+    at most two primes dividing |G|, and a non-empty vertex set forces a
+    multi-prime element."""
     witness = None
-    if not sigma_set(table):
-        if len(prime_factors(len(table.elements))) > 2:
+    if not sigma:
+        if len(prime_factors(graph.n)) > 2:
             witness = "all orders prime powers yet >2 primes"
         elif len(graph.vertices) > 0:
             witness = f"vertex {int(graph.vertices[0])} exists but sigma empty"
@@ -221,7 +222,7 @@ def verify_theorem(group, cap=DEFAULT_CAP, name=None, table=None, graph=None):
         # solvable, some vertex: every vertex is within 2 of a sigma element
         _verdict("vertex_near_sigma", solvable and len(graph.vertices) > 0,
                  far_vertex is None, far_vertex),
-        check_higman(solvable, table, graph),
+        check_higman(solvable, sigma, graph),
         # solvable three-prime group with diameter > 4 forces a two-edge path prime graph
         _verdict(
             "large_diameter_prime_graph_path",

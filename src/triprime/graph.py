@@ -6,9 +6,11 @@ by any group element is a graph automorphism, which licenses computing
 adjacency rows and eccentricities at conjugacy-class representatives only.
 Within the row of a representative r, the entry of j depends only on
 <r, j>, which j -> r*j, j -> j*r and j -> j^-1 leave unchanged, so one entry
-is decided per orbit of these maps. The reduced build reads every product off
-the element table's index maps; only the per-pair predicate multiplies
-permutations.
+is decided per orbit of these maps. Orbits left open are merged further under
+conjugation by the normalizer N_G(<r>): for g there, <r, j^g> = <r, j>^g has
+the same order, and conjugation by g keeps classes, prime sets and commuting
+with r. The reduced build reads every product off the element table's index
+maps; only the per-pair predicate multiplies permutations.
 """
 
 import multiprocessing
@@ -122,9 +124,10 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
 
     mode "naive" tests every unordered pair directly; "symmetry_reduced"
     decides each pair of conjugacy classes once, at a class representative r,
-    with one test per orbit of j -> r*j, j*r, j^-1 in its row, and transports
-    the row along the class tree. Both produce identical matrices, and both
-    build a chain only for pairs that no cheap certificate decides.
+    with one test per orbit of j -> r*j, j*r, j^-1 and conjugation by
+    N_G(<r>) in its row, and transports the row along the class tree. Both
+    produce identical matrices, and both build a chain only for pairs that no
+    cheap certificate decides.
     """
     if mode not in ("naive", "symmetry_reduced"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -156,26 +159,22 @@ def _row(table, k, prime_mask, rep):
     j -> j*r and j -> j^-1, so the row is constant on these orbits. An orbit
     is adjacent when the primes of r and of one member already reach k, and
     otherwise not when its members commute with r (R == L): <r, j> is then
-    abelian, with the primes of r and j. Every other orbit that meets the
-    own or later classes is decided once, at its least index.
+    abelian, with the primes of r and j. When some orbit is left open, the
+    orbits are merged further under conjugation by N_G(<r>): for g there,
+    <r, j^g> = <r, j>^g has the order of <r, j>, and conjugation by g keeps
+    classes, prime sets and commuting with r, since r^g generates <r>. Every
+    merged orbit still open that meets the own or later classes is decided
+    once, at its least index.
     """
-    n = len(table.elements)
     R, L = table.mul_maps(rep)
     commuting = R == L
-    # min-label propagation along R^(2^s) and L^(2^s): after s rounds
-    # label[j] is the least index of r^a * j * r^b, 0 <= a, b < 2^s
-    label = np.arange(n)
-    for _ in range((table.order_of[rep] - 1).bit_length()):
-        label = np.minimum(label, label[R])
-        label = np.minimum(label, label[L])
-        R, L = R[R], L[L]
-    label = np.minimum(label, label[table.inv])
-    hit = np.zeros(n, dtype=bool)
-    hit[label[(prime_mask | prime_mask[:, rep, None]).sum(axis=0) >= k]] = True
+    label = _product_orbits(table, rep, R, L)
+    reach = (prime_mask | prime_mask[:, rep, None]).sum(axis=0) >= k
     own = np.asarray(table.class_of) >= table.class_of[rep]
-    undecided = np.zeros(n, dtype=bool)
-    undecided[label[own]] = True
-    undecided &= ~(hit | commuting)  # an orbit commutes with r in all members or in none
+    hit, undecided = _open_orbits(label, reach, own, commuting)
+    if undecided.any():
+        label = _normalizer_orbits(table, rep, R, commuting, label)
+        hit, undecided = _open_orbits(label, reach, own, commuting)
     builds = 0
     for m in np.flatnonzero(undecided):
         hit[m], b = _adjacent_counted(table, rep, int(m), k)
@@ -183,6 +182,77 @@ def _row(table, k, prime_mask, rep):
     row = hit[label] & own
     row[rep] = False
     return row, builds
+
+
+def _product_orbits(table, rep, R, L):
+    """Labels of the orbits of j -> r*j, j*r, j^-1, each its least index."""
+    # min-label propagation along R^(2^s) and L^(2^s): after s rounds
+    # label[j] is the least index of r^a * j * r^b, 0 <= a, b < 2^s
+    label = np.arange(len(R))
+    for _ in range((table.order_of[rep] - 1).bit_length()):
+        label = np.minimum(label, label[R])
+        label = np.minimum(label, label[L])
+        R, L = R[R], L[L]
+    return np.minimum(label, label[table.inv])
+
+
+def _open_orbits(label, reach, own, commuting):
+    """(hit, undecided), both indexed by orbit label: hit where a member's
+    primes and r's reach k, undecided for the other orbits that meet the own
+    or later classes and do not commute with r."""
+    hit = np.zeros(len(label), dtype=bool)
+    hit[label[reach]] = True
+    undecided = np.zeros(len(label), dtype=bool)
+    undecided[label[own]] = True
+    undecided &= ~(hit | commuting)  # an orbit commutes with r in all members or in none
+    return hit, undecided
+
+
+def _normalizer_orbits(table, rep, R, commuting, label):
+    """The orbit labels merged under conjugation by N_G(<r>), each the least
+    index of its merged orbit.
+
+    N_G(<r>) is the union of the cosets C_G(r) * g_y over the powers y of r
+    in r's class (those generate <r>), where r^(g_y) = y along class_trees.
+    Its generators are taken greedily, each the least element not in the
+    subgroup of the earlier ones. Conjugation by them maps orbits of r*j,
+    j*r and j^-1 onto orbits, so label stays constant on those.
+    """
+    n = len(label)
+    cid = table.class_of[rep]
+    conjugator = {rep: 0}
+    for y, x, t in table.class_trees[cid]:
+        conjugator[y] = int(table.rmul[t][conjugator[x]])
+    centralizer = np.flatnonzero(commuting)
+    normalizer = np.zeros(n, dtype=bool)
+    y = rep
+    while y:  # r, r^2, ... up to the identity, index 0
+        if table.class_of[y] == cid:
+            normalizer[table.mul_maps(conjugator[y])[0][centralizer]] = True
+        y = int(R[y])
+    inside = np.zeros(n, dtype=bool)  # the subgroup of the chosen generators
+    inside[0] = True
+    rights, conjugations = [], []
+    while (normalizer & ~inside).any():
+        g = int((normalizer & ~inside).argmax())
+        rights.append(table.mul_maps(g)[0])
+        conjugations.append(table.conj_map(g))
+        frontier = inside
+        while frontier.any():
+            reached = np.zeros(n, dtype=bool)
+            for M in rights:
+                reached[M[frontier]] = True
+            frontier = reached & ~inside
+            inside |= frontier
+    # label[j] <= j lies in j's merged orbit, so label[label] is a valid jump
+    while True:
+        merged = label
+        for C in conjugations:
+            merged = np.minimum(merged, merged[C])
+        merged = merged[merged]
+        if np.array_equal(merged, label):
+            return label
+        label = merged
 
 
 def _build_reduced(table, k, adjacency, jobs):
@@ -270,26 +340,13 @@ def diameter_from_rows(graph, sources, dist):
     return DiameterResult(status="connected", value=int(sub.max()))
 
 
-def diameter(graph, per_vertex=False):
+def diameter(graph):
     """Diameter of the induced graph on non-isolated vertices.
 
     Eccentricity is constant on conjugacy classes, so only class
-    representatives are scanned unless per_vertex is set (kept as the
-    correctness escape hatch for the equivalence tests).
+    representatives are scanned.
     """
-    if per_vertex:
-        sources = [int(v) for v in graph.vertices]
-        return diameter_from_rows(graph, sources, _distance_rows(graph, sources))
     return diameter_from_rows(graph, *rep_distances(graph))
-
-
-def eccentricities(graph, sources):
-    """Eccentricity (and reachability) per source; helper for the test oracles."""
-    out = {}
-    for s in sources:
-        rep = bfs(graph, int(s))
-        out[int(s)] = (rep.eccentricity, rep.reaches_all)
-    return out
 
 
 def neighbor_order_profile(graph, v):

@@ -20,9 +20,11 @@ from triprime.analysis import (
     sigma_set,
     verify_theorem,
 )
-from triprime.graph import build_graph, diameter, distance, eccentricities, neighbor_order_profile
+from triprime.graph import build_graph, diameter, distance, neighbor_order_profile
 from triprime.groups import catalog, centralizer_elements, normal_closure, standard_catalog
 from triprime.primes import prime_factors
+
+from test_graph import eccentricities
 
 
 def announce(criterion, ok, detail=""):

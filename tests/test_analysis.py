@@ -143,14 +143,14 @@ class TestPathOnThree:
 
 class TestHigman:
     def test_d30_passes(self, d30):
-        out = check_higman(is_solvable(d30.group), d30.table, d30.graph)
+        out = check_higman(is_solvable(d30.group), sigma_set(d30.table), d30.graph)
         assert out.outcome == "pass"
 
     def test_two_prime_group_vacuous(self):
         group = catalog("sl23")
         table = group.element_table()
         graph = build_graph(table)
-        assert check_higman(is_solvable(group), table, graph).outcome == "pass"
+        assert check_higman(is_solvable(group), sigma_set(table), graph).outcome == "pass"
 
     def test_psl27_not_applicable(self):
         # non-solvable, and notably all its element orders are prime powers
@@ -158,7 +158,7 @@ class TestHigman:
         table = group.element_table()
         assert set(table.order_of) == {1, 2, 3, 4, 7}
         graph = build_graph(table)
-        assert check_higman(is_solvable(group), table, graph).outcome == "not-applicable"
+        assert check_higman(is_solvable(group), sigma_set(table), graph).outcome == "not-applicable"
 
     def test_verify_derives_solvability_once(self, monkeypatch):
         calls = []

@@ -15,12 +15,12 @@ from triprime.graph import (
     bfs,
     build_graph,
     diameter,
+    diameter_from_rows,
     distance,
-    eccentricities,
     neighbor_order_profile,
     pool_map,
 )
-from triprime.groups import PermutationGroup, catalog, direct_product, two_generated_order
+from triprime.groups import PermutationGroup, catalog, direct_product, standard_catalog, two_generated_order
 from triprime.perm import Permutation
 from triprime.primes import prime_factors
 
@@ -55,6 +55,22 @@ def oracle_all_pairs_distances(adj):
             frontier = nxt
         dist[s] = d
     return vertices, dist
+
+
+def eccentricities(graph, sources):
+    """Eccentricity (and reachability) per source, one bfs call each."""
+    out = {}
+    for s in sources:
+        rep = bfs(graph, int(s))
+        out[int(s)] = (rep.eccentricity, rep.reaches_all)
+    return out
+
+
+def per_vertex_diameter(graph):
+    """The diameter from a BFS row at every non-isolated vertex, not only at
+    the class representatives."""
+    sources = [int(v) for v in graph.vertices]
+    return diameter_from_rows(graph, sources, graph_module._distance_rows(graph, sources))
 
 
 class TestAdjacent:
@@ -204,8 +220,16 @@ class TestBfsAndDistance:
             assert rep.distances == dist[s]
 
 
-def brute_orbit(table, r, j):
-    # closure of j under j -> r*j, j -> j*r and j -> j^-1, by permutation products
+def brute_normalizer(table, r):
+    # N_G(<x>): every g with g^-1 * x * g a power of x, by permutation products
+    x = table.elements[r]
+    powers = {x**m for m in range(table.order_of[r])}
+    return [g for g in table.elements if g.inverse() * x * g in powers]
+
+
+def brute_orbit(table, r, j, normalizer):
+    # closure of j under j -> r*j, j -> j*r, j -> j^-1 and j -> g^-1 * j * g
+    # for g in the normalizer, by permutation products
     x = table.elements[r]
     orbit = {j}
     frontier = [j]
@@ -213,7 +237,7 @@ def brute_orbit(table, r, j):
         nxt = []
         for m in frontier:
             y = table.elements[m]
-            for z in (x * y, y * x, y.inverse()):
+            for z in [x * y, y * x, y.inverse()] + [g.inverse() * y * g for g in normalizer]:
                 i = table.index_of[z]
                 if i not in orbit:
                     orbit.add(i)
@@ -263,12 +287,29 @@ class TestPoolMap:
         assert started == [2]
 
 
+@st.composite
+def small_groups(draw):
+    """A subgroup of S_n, n <= 8, of order at most 200: of 2-4 random
+    generators, each is kept only when the group stays that small, so no
+    draw is rejected and the naive oracle stays fast."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    gens = []
+    for g in draw(st.lists(st.permutations(range(n)).map(Permutation), min_size=2, max_size=4)):
+        if PermutationGroup(gens + [g]).order() <= 200:
+            gens.append(g)
+    return PermutationGroup(gens)
+
+
 class TestReducedBuild:
-    def test_one_call_per_undecided_orbit(self, monkeypatch):
-        # a representative decides each orbit of j -> r*j, j*r, j^-1 that meets
-        # its own or later classes, that the primes of r and j leave open and
-        # whose members do not commute with r, once, at the orbit's least index
-        table = catalog("dihedral", 30).element_table()
+    @pytest.mark.parametrize(
+        "name, n, total", [("dihedral", 30, 3), ("symmetric", 5, 23), ("psl27", None, 25)]
+    )
+    def test_one_call_per_undecided_orbit(self, monkeypatch, name, n, total):
+        # a representative decides each orbit of j -> r*j, j*r, j^-1 and
+        # conjugation by N_G(<r>) that meets its own or later classes, that
+        # the primes of r and j leave open and whose members do not commute
+        # with r, once, at the orbit's least index
+        table = catalog(name, n).element_table()
         calls = Counter()
         original = graph_module._adjacent_counted
 
@@ -281,15 +322,49 @@ class TestReducedBuild:
         expected = Counter()
         for r in table.class_reps:
             x = table.elements[r]
-            orbits = {frozenset(brute_orbit(table, r, j)) for j in range(len(table))}
-            for orbit in orbits:
+            normalizer = brute_normalizer(table, r)
+            seen = set()
+            for j in range(len(table)):
+                if j in seen:
+                    continue
+                orbit = brute_orbit(table, r, j, normalizer)
+                seen |= orbit
                 own = any(table.class_of[m] >= table.class_of[r] for m in orbit)
                 open_ = all(len(table.primes_of[r] | table.primes_of[m]) < 3 for m in orbit)
                 commutes = all(x * table.elements[m] == table.elements[m] * x for m in orbit)
                 if own and open_ and not commutes:
                     expected[r, min(orbit)] += 1
         assert calls == expected
-        assert sum(calls.values()) == 3
+        assert sum(calls.values()) == total
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(group=small_groups())
+    def test_merged_orbits_share_one_order(self, group):
+        table = group.element_table()
+        for r in table.class_reps:
+            R, L = table.mul_maps(r)
+            label = graph_module._product_orbits(table, r, R, L)
+            label = graph_module._normalizer_orbits(table, r, R, R == L, label)
+            assert (label <= np.arange(len(table))).all()
+            assert np.array_equal(label[label], label)
+            x = table.elements[r]
+            orders = {}
+            for j, m in enumerate(label):
+                orders.setdefault(m, set()).add(two_generated_order(x, table.elements[j]))
+            assert all(len(v) == 1 for v in orders.values())
+
+    @pytest.mark.parametrize("name", ["dihedral", "psl27", "sl23_example"])
+    def test_conj_map_matches_products(self, name):
+        table = catalog(name, 30 if name == "dihedral" else None).element_table()
+        for i in table.class_reps + [len(table) - 1]:
+            g = table.elements[i]
+            C = table.conj_map(i)
+            assert list(C) == [table.index_of[g.inverse() * y * g] for y in table.elements]
+
+    def test_exact_orders_pinned(self, sl23x):
+        # one Schreier-Sims chain per merged orbit that no certificate decides
+        assert sum(build_graph(g.element_table()).chain_builds for g in standard_catalog()) == 156
+        assert sl23x.graph.chain_builds == 93
 
     @pytest.mark.parametrize("name", ["dihedral", "psl27", "sl23_example"])
     def test_pair_maps_match_products(self, name):
@@ -309,19 +384,6 @@ class TestReducedBuild:
         assert reduced.adjacency.any()
 
 
-@st.composite
-def small_groups(draw):
-    """A subgroup of S_n, n <= 8, of order at most 200: of 2-4 random
-    generators, each is kept only when the group stays that small, so no
-    draw is rejected and the naive oracle stays fast."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    gens = []
-    for g in draw(st.lists(st.permutations(range(n)).map(Permutation), min_size=2, max_size=4)):
-        if PermutationGroup(gens + [g]).order() <= 200:
-            gens.append(g)
-    return PermutationGroup(gens)
-
-
 class TestReducedAgainstNaive:
     # random generators give random element and class orders, which exercises
     # the fill of earlier classes from the representative's column
@@ -333,7 +395,7 @@ class TestReducedAgainstNaive:
         naive = build_graph(table, k=k, mode="naive")
         assert np.array_equal(reduced.adjacency, naive.adjacency)
         # eccentricity is constant on classes, so class representatives suffice
-        assert diameter(reduced, per_vertex=True) == diameter(reduced)
+        assert per_vertex_diameter(reduced) == diameter(reduced)
         ecc = eccentricities(reduced, reduced.vertices)
         for cid in range(len(table.class_reps)):
             assert len({ecc[m] for m in table.class_members(cid) if m in ecc}) <= 1
@@ -381,7 +443,7 @@ class TestDiameter:
         assert d30.diam.value == 2
 
     def test_per_vertex_matches_reduced(self, d30):
-        assert diameter(d30.graph, per_vertex=True) == d30.diam
+        assert per_vertex_diameter(d30.graph) == d30.diam
 
     @pytest.mark.parametrize(
         "group",
