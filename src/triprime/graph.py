@@ -9,8 +9,9 @@ Within the row of a representative r, the entry of j depends only on
 is decided per orbit of these maps. Orbits left open are merged further under
 conjugation by the normalizer N_G(<r>): for g there, <r, j^g> = <r, j>^g has
 the same order, and conjugation by g keeps classes, prime sets and commuting
-with r. The reduced build reads every product off the element table's index
-maps; only the per-pair predicate multiplies permutations.
+with r. Each subgroup the build needs, <x, y> or the span of the normalizer's
+generators, is closed on the element table's index maps; only the per-pair
+certificates multiply permutations.
 """
 
 import multiprocessing
@@ -21,7 +22,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .groups import two_generated_order
 from .primes import prime_factors
 
 DEFAULT_K = 3
@@ -38,13 +38,13 @@ def adjacent(table, i, j, k=DEFAULT_K):
 
 
 def _adjacent_counted(table, i, j, k):
-    """Adjacency test; second component counts stabilizer-chain constructions.
+    """Adjacency test; second component counts exact subgroup orders.
 
     Cheap sound certificates run first. When x and y commute, |<x, y>|
     divides |x|*|y|, so the primes of x and y are all there is. Otherwise the
     orders of x, y and of the words xy, xy^-1, [x, y], x^2y and xy^2 all
     divide |<x, y>|, so their combined prime support certifies adjacency.
-    Only pairs that no certificate decides build a chain.
+    Only pairs that no certificate decides count _subgroup(table, [i, j]).
     """
     if i == j:
         return False, 0
@@ -57,10 +57,33 @@ def _adjacent_counted(table, i, j, k):
     if xy == yx:
         return False, 0
     for w in (xy, x * y.inverse(), yx.inverse() * xy, x * xy, xy * y):
-        support = support | prime_factors(w.order())
+        support = support | table.primes_of[table.index_of[w]]
         if len(support) >= k:
             return True, 0
-    return len(prime_factors(two_generated_order(x, y))) >= k, 1
+    return len(prime_factors(int(_subgroup(table, [i, j]).sum()))) >= k, 1
+
+
+def _subgroup(table, gens):
+    """Membership mask of <gens>, closed from {e} under right multiplication
+    by each generator, along its word. By Lagrange a subgroup of more than
+    n/p elements, p the least prime dividing n, is G: the closure stops there.
+    """
+    n = len(table.elements)
+    words = [table.word(g) for g in gens]
+    inside = np.zeros(n, dtype=bool)
+    frontier = np.zeros(1, dtype=np.intp)  # the identity
+    while len(frontier):
+        inside[frontier] = True
+        if np.count_nonzero(inside) > n // min(prime_factors(n), default=1):
+            return np.ones(n, dtype=bool)
+        reached = np.zeros(n, dtype=bool)
+        for word in words:
+            products = frontier
+            for t in word:
+                products = table.rmul[t][products]
+            reached[products] = True
+        frontier = np.flatnonzero(reached & ~inside)
+    return inside
 
 
 @dataclass
@@ -73,7 +96,7 @@ class NonFGraph:
     adjacency: np.ndarray  # (n, n) bool, symmetric, empty diagonal
     isolated: np.ndarray   # (n,) bool
     vertices: np.ndarray   # sorted indices of non-isolated elements
-    chain_builds: int = 0
+    chain_builds: int = 0  # exact subgroup orders computed; named for criterion 10's budget
 
     @property
     def n(self):
@@ -126,8 +149,8 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
     decides each pair of conjugacy classes once, at a class representative r,
     with one test per orbit of j -> r*j, j*r, j^-1 and conjugation by
     N_G(<r>) in its row, and transports the row along the class tree. Both
-    produce identical matrices, and both build a chain only for pairs that no
-    cheap certificate decides.
+    produce identical matrices, and both compute the order of <x, y> only for
+    pairs that no cheap certificate decides.
     """
     if mode not in ("naive", "symmetry_reduced"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -153,7 +176,7 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
 
 def _row(table, k, prime_mask, rep):
     """Adjacency entries of one class representative in its own and later
-    classes, with its count of chain constructions; the rest stay False.
+    classes, with its count of exact subgroup orders; the rest stay False.
 
     <r, j> is the same subgroup for every j in one orbit of j -> r*j,
     j -> j*r and j -> j^-1, so the row is constant on these orbits. An orbit
@@ -173,7 +196,7 @@ def _row(table, k, prime_mask, rep):
     own = np.asarray(table.class_of) >= table.class_of[rep]
     hit, undecided = _open_orbits(label, reach, own, commuting)
     if undecided.any():
-        label = _normalizer_orbits(table, rep, R, commuting, label)
+        label = _normalizer_orbits(table, rep, R, L, label)
         hit, undecided = _open_orbits(label, reach, own, commuting)
     builds = 0
     for m in np.flatnonzero(undecided):
@@ -208,42 +231,26 @@ def _open_orbits(label, reach, own, commuting):
     return hit, undecided
 
 
-def _normalizer_orbits(table, rep, R, commuting, label):
+def _normalizer_orbits(table, rep, R, L, label):
     """The orbit labels merged under conjugation by N_G(<r>), each the least
     index of its merged orbit.
 
-    N_G(<r>) is the union of the cosets C_G(r) * g_y over the powers y of r
-    in r's class (those generate <r>), where r^(g_y) = y along class_trees.
-    Its generators are taken greedily, each the least element not in the
-    subgroup of the earlier ones. Conjugation by them maps orbits of r*j,
-    j*r and j^-1 onto orbits, so label stays constant on those.
+    N_G(<r>) holds the g with g^-1 * r * g a power r^m, that is with
+    r * g = g * r^m: L == R^m on the maps of r. Its generators are taken
+    greedily, each the least element not in the subgroup of the earlier
+    ones. Conjugation by them maps orbits of r*j, j*r and j^-1 onto orbits,
+    so label stays constant on those.
     """
-    n = len(label)
-    cid = table.class_of[rep]
-    conjugator = {rep: 0}
-    for y, x, t in table.class_trees[cid]:
-        conjugator[y] = int(table.rmul[t][conjugator[x]])
-    centralizer = np.flatnonzero(commuting)
-    normalizer = np.zeros(n, dtype=bool)
-    y = rep
-    while y:  # r, r^2, ... up to the identity, index 0
-        if table.class_of[y] == cid:
-            normalizer[table.mul_maps(conjugator[y])[0][centralizer]] = True
-        y = int(R[y])
-    inside = np.zeros(n, dtype=bool)  # the subgroup of the chosen generators
-    inside[0] = True
-    rights, conjugations = [], []
-    while (normalizer & ~inside).any():
-        g = int((normalizer & ~inside).argmax())
-        rights.append(table.mul_maps(g)[0])
-        conjugations.append(table.conj_map(g))
-        frontier = inside
-        while frontier.any():
-            reached = np.zeros(n, dtype=bool)
-            for M in rights:
-                reached[M[frontier]] = True
-            frontier = reached & ~inside
-            inside |= frontier
+    normalizer = np.zeros(len(label), dtype=bool)
+    power = R
+    for _ in range(table.order_of[rep] - 1):  # m = 1 .. |r| - 1
+        normalizer |= L == power
+        power = R[power]
+    chosen = []
+    while (outside := normalizer & ~_subgroup(table, chosen)).any():
+        chosen.append(int(outside.argmax()))
+    # right[L^-1]: j -> g^-1 * j * g
+    conjugations = [right[np.argsort(left)] for right, left in map(table.mul_maps, chosen)]
     # label[j] <= j lies in j's merged orbit, so label[label] is a valid jump
     while True:
         merged = label

@@ -257,14 +257,6 @@ class ElementTable:
             R, L = self.rmul[t][R], L[self.lmul[t]]
         return R, L
 
-    def conj_map(self, i):
-        """C[j] is the index of elements[i]^-1 * elements[j] * elements[i],
-        composed along word(i)."""
-        C = np.arange(len(self.elements))
-        for t in self.word(i):
-            C = self.conj_maps[t][C]
-        return C
-
 
 def enumerate_elements(group, cap=DEFAULT_CAP):
     """Materialize all elements of the group, with orders, prime sets and classes.

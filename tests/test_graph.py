@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triprime import graph as graph_module
+from triprime import groups as groups_module
 from triprime.graph import (
     IsolatedVertexError,
     adjacent,
@@ -21,7 +22,7 @@ from triprime.graph import (
     pool_map,
 )
 from triprime.groups import PermutationGroup, catalog, direct_product, standard_catalog, two_generated_order
-from triprime.perm import Permutation
+from triprime.perm import Permutation, parse_cycles
 from triprime.primes import prime_factors
 
 
@@ -114,8 +115,10 @@ class TestBuildGraph:
         assert np.array_equal(adj, adj.T)
         assert not adj.diagonal().any()
 
-    def test_matches_pairwise_oracle(self, d30):
-        assert np.array_equal(d30.graph.adjacency, np.array(oracle_adjacency(d30.table)))
+    def test_matches_pairwise_oracle(self):
+        for group in (catalog("dihedral", 30), catalog("symmetric", 5)):
+            table = group.element_table()
+            assert np.array_equal(build_graph(table).adjacency, np.array(oracle_adjacency(table)))
 
     @pytest.mark.parametrize(
         "group",
@@ -344,7 +347,7 @@ class TestReducedBuild:
         for r in table.class_reps:
             R, L = table.mul_maps(r)
             label = graph_module._product_orbits(table, r, R, L)
-            label = graph_module._normalizer_orbits(table, r, R, R == L, label)
+            label = graph_module._normalizer_orbits(table, r, R, L, label)
             assert (label <= np.arange(len(table))).all()
             assert np.array_equal(label[label], label)
             x = table.elements[r]
@@ -353,16 +356,8 @@ class TestReducedBuild:
                 orders.setdefault(m, set()).add(two_generated_order(x, table.elements[j]))
             assert all(len(v) == 1 for v in orders.values())
 
-    @pytest.mark.parametrize("name", ["dihedral", "psl27", "sl23_example"])
-    def test_conj_map_matches_products(self, name):
-        table = catalog(name, 30 if name == "dihedral" else None).element_table()
-        for i in table.class_reps + [len(table) - 1]:
-            g = table.elements[i]
-            C = table.conj_map(i)
-            assert list(C) == [table.index_of[g.inverse() * y * g] for y in table.elements]
-
     def test_exact_orders_pinned(self, sl23x):
-        # one Schreier-Sims chain per merged orbit that no certificate decides
+        # one exact subgroup order per merged orbit that no certificate decides
         assert sum(build_graph(g.element_table()).chain_builds for g in standard_catalog()) == 156
         assert sl23x.graph.chain_builds == 93
 
@@ -370,11 +365,13 @@ class TestReducedBuild:
     def test_pair_maps_match_products(self, name):
         table = catalog(name, 30 if name == "dihedral" else None).element_table()
         assert list(table.inv) == [table.index_of[y.inverse()] for y in table.elements]
-        for r in table.class_reps:
+        for r in table.class_reps + [len(table) - 1]:
             x = table.elements[r]
             R, L = table.mul_maps(r)
             assert list(R) == [table.index_of[y * x] for y in table.elements]
             assert list(L) == [table.index_of[x * y] for y in table.elements]
+            # the normalizer merge conjugates along R[L^-1]: j -> x^-1 * j * x
+            assert list(R[np.argsort(L)]) == [table.index_of[x.inverse() * y * x] for y in table.elements]
 
     def test_reduced_matches_naive_at_k4(self):
         table = direct_product(catalog("cyclic", 6), catalog("cyclic", 35)).element_table()
@@ -401,8 +398,62 @@ class TestReducedAgainstNaive:
             assert len({ecc[m] for m in table.class_members(cid) if m in ecc}) <= 1
 
 
+class TestSubgroup:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(group=small_groups(), data=st.data())
+    def test_matches_chain_order(self, group, data):
+        table = group.element_table()
+        index = st.integers(min_value=0, max_value=len(table) - 1)
+        for i, j in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=10)):
+            x, y = table.elements[i], table.elements[j]
+            assert graph_module._subgroup(table, [i, j]).sum() == two_generated_order(x, y)
+
+    @pytest.mark.parametrize(
+        "name, n, cycles, size",
+        [
+            ("symmetric", 5, ["(1,2,3)", "(1,2,3,4,5)"], 60),  # A5: |S5|/2 exactly, no early stop
+            ("frobenius21", None, ["(1,2,3,4,5,6,7)"], 7),  # C7: |F21|/3 exactly
+            ("symmetric", 5, ["(1,2)", "(1,2,3,4,5)"], 120),
+        ],
+        ids=["a5-in-s5", "c7-in-frobenius21", "s5"],
+    )
+    def test_early_stop_is_exact(self, name, n, cycles, size):
+        table = catalog(name, n).element_table()
+        gens = [table.index_of[parse_cycles(c, table.degree)] for c in cycles]
+        mask = graph_module._subgroup(table, gens)
+        # a mask holding e and closed under right multiplication by the
+        # generators contains <gens>; with |<gens>| members it is <gens>
+        assert mask[0] and mask.sum() == size
+        for g in gens:
+            products = [table.elements[m] * table.elements[g] for m in np.flatnonzero(mask)]
+            assert mask[[table.index_of[p] for p in products]].all()
+
+    @pytest.mark.parametrize(
+        "group", [catalog("symmetric", 5), PermutationGroup([], degree=3)], ids=["s5", "trivial"]
+    )
+    def test_identity_alone(self, group):
+        table = group.element_table()
+        expected = np.arange(len(table)) == 0
+        assert np.array_equal(graph_module._subgroup(table, []), expected)
+        assert np.array_equal(graph_module._subgroup(table, [0]), expected)
+
+    @pytest.mark.parametrize("name, n, k", [("sl23_example", None, 3), ("psl27", None, 3), ("alternating", 7, 2)])
+    def test_build_constructs_no_chain(self, monkeypatch, name, n, k):
+        table = catalog(name, n).element_table()
+        built = []
+
+        class CountingChain(groups_module.StabilizerChain):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(groups_module, "StabilizerChain", CountingChain)
+        graph = build_graph(table, k=k)
+        assert graph.chain_builds > 0 and built == []
+
+
 class TestCertificates:
-    # every answer given without a chain must be the exact one
+    # every answer, certified or read off the table, matches a fresh chain
     @settings(derandomize=True, deadline=None, database=None, max_examples=100)
     @given(
         gens=st.integers(min_value=2, max_value=7).flatmap(
@@ -415,8 +466,8 @@ class TestCertificates:
         table = PermutationGroup(gens).element_table()
         index = st.integers(min_value=0, max_value=len(table) - 1)
         for i, j in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=30)):
-            hit, builds = graph_module._adjacent_counted(table, i, j, k)
-            if builds == 0 and i != j:
+            hit, _ = graph_module._adjacent_counted(table, i, j, k)
+            if i != j:
                 x, y = table.elements[i], table.elements[j]
                 assert hit == (len(prime_factors(two_generated_order(x, y))) >= k)
 
