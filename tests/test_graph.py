@@ -370,8 +370,15 @@ class TestReducedBuild:
             R, L = table.mul_maps(r)
             assert list(R) == [table.index_of[y * x] for y in table.elements]
             assert list(L) == [table.index_of[x * y] for y in table.elements]
-            # the normalizer merge conjugates along R[L^-1]: j -> x^-1 * j * x
-            assert list(R[np.argsort(L)]) == [table.index_of[x.inverse() * y * x] for y in table.elements]
+
+    @pytest.mark.parametrize("name", ["dihedral", "psl27", "sl23_example"])
+    def test_conj_map_matches_products(self, name):
+        # the normalizer merge conjugates along R[L^-1]: j -> g^-1 * j * g
+        table = catalog(name, 30 if name == "dihedral" else None).element_table()
+        for i in table.class_reps + [len(table) - 1]:
+            g = table.elements[i]
+            R, L = table.mul_maps(i)
+            assert list(R[np.argsort(L)]) == [table.index_of[g.inverse() * y * g] for y in table.elements]
 
     def test_reduced_matches_naive_at_k4(self):
         table = direct_product(catalog("cyclic", 6), catalog("cyclic", 35)).element_table()
