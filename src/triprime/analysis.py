@@ -105,12 +105,15 @@ def check_higman(solvable, sigma, graph):
 
 
 def _require_normal_prime_power(table, subset):
-    """Validate a lemma input: subset must be closed under conjugation by the
-    group's generators and have prime-power size > 1. Returns the prime."""
+    """Validate a lemma input: subset must be a subgroup closed under
+    conjugation by the group's generators, of prime-power size > 1. Returns
+    the prime."""
     for i in subset:
         for m in table.conj_maps:
             if m[i] not in subset:
                 raise ValueError("subset is not normal in the group")
+    if table.subgroup(list(subset)).sum() > len(subset):
+        raise ValueError("subset is not a subgroup")
     size = len(subset)
     ps = prime_factors(size) if size > 1 else frozenset()
     if len(ps) != 1:
@@ -198,7 +201,7 @@ def verify_theorem(group, cap=DEFAULT_CAP, name=None, table=None, graph=None):
         graph = graphmod.build_graph(table)
     order = len(table.elements)
     primes = sorted(prime_factors(order))
-    solvable = is_solvable(group)
+    solvable = is_solvable(table)
     sigma = sigma_set(table)
     max_pi = max(len(ps) for ps in table.primes_of)
     pg = prime_graph(table)

@@ -78,7 +78,7 @@ def cmd_info(args):
         "degree": group.degree,
         "order": len(table.elements),
         "primes": sorted(prime_factors(len(table.elements))),
-        "solvable": is_solvable(group),
+        "solvable": is_solvable(table),
         "class_count": len(table.class_reps),
         "order_histogram": dict(sorted(Counter(table.order_of).items())),
     }

@@ -9,9 +9,9 @@ Within the row of a representative r, the entry of j depends only on
 is decided per orbit of these maps. Orbits left open are merged further under
 conjugation by the normalizer N_G(<r>): for g there, <r, j^g> = <r, j>^g has
 the same order, and conjugation by g keeps classes, prime sets and commuting
-with r. Each subgroup the build needs, <x, y> or the span of the normalizer's
-generators, is closed on the element table's index maps; only the per-pair
-certificates multiply permutations.
+with r. Each subgroup the build needs, <x, y> or the normalizer's span, comes
+from table.subgroup, a closure on the element table's index maps; only the
+per-pair certificates multiply permutations.
 """
 
 import multiprocessing
@@ -44,7 +44,7 @@ def _adjacent_counted(table, i, j, k):
     divides |x|*|y|, so the primes of x and y are all there is. Otherwise the
     orders of x, y and of the words xy, xy^-1, [x, y], x^2y and xy^2 all
     divide |<x, y>|, so their combined prime support certifies adjacency.
-    Only pairs that no certificate decides count _subgroup(table, [i, j]).
+    Only pairs that no certificate decides count table.subgroup([i, j]).
     """
     if i == j:
         return False, 0
@@ -60,30 +60,7 @@ def _adjacent_counted(table, i, j, k):
         support = support | table.primes_of[table.index_of[w]]
         if len(support) >= k:
             return True, 0
-    return len(prime_factors(int(_subgroup(table, [i, j]).sum()))) >= k, 1
-
-
-def _subgroup(table, gens):
-    """Membership mask of <gens>, closed from {e} under right multiplication
-    by each generator, along its word. By Lagrange a subgroup of more than
-    n/p elements, p the least prime dividing n, is G: the closure stops there.
-    """
-    n = len(table.elements)
-    words = [table.word(g) for g in gens]
-    inside = np.zeros(n, dtype=bool)
-    frontier = np.zeros(1, dtype=np.intp)  # the identity
-    while len(frontier):
-        inside[frontier] = True
-        if np.count_nonzero(inside) > n // min(prime_factors(n), default=1):
-            return np.ones(n, dtype=bool)
-        reached = np.zeros(n, dtype=bool)
-        for word in words:
-            products = frontier
-            for t in word:
-                products = table.rmul[t][products]
-            reached[products] = True
-        frontier = np.flatnonzero(reached & ~inside)
-    return inside
+    return len(prime_factors(int(table.subgroup([i, j]).sum()))) >= k, 1
 
 
 @dataclass
@@ -236,19 +213,16 @@ def _normalizer_orbits(table, rep, R, L, label):
     index of its merged orbit.
 
     N_G(<r>) holds the g with g^-1 * r * g a power r^m, that is with
-    r * g = g * r^m: L == R^m on the maps of r. Its generators are taken
-    greedily, each the least element not in the subgroup of the earlier
-    ones. Conjugation by them maps orbits of r*j, j*r and j^-1 onto orbits,
-    so label stays constant on those.
+    r * g = g * r^m: L == R^m on the maps of r. Its generators are those of
+    table.span. Conjugation by them maps orbits of r*j, j*r and j^-1 onto
+    orbits, so label stays constant on those.
     """
     normalizer = np.zeros(len(label), dtype=bool)
     power = R
     for _ in range(table.order_of[rep] - 1):  # m = 1 .. |r| - 1
         normalizer |= L == power
         power = R[power]
-    chosen = []
-    while (outside := normalizer & ~_subgroup(table, chosen)).any():
-        chosen.append(int(outside.argmax()))
+    chosen, _ = table.span(normalizer)
     # right[L^-1]: j -> g^-1 * j * g
     conjugations = [right[np.argsort(left)] for right, left in map(table.mul_maps, chosen)]
     # label[j] <= j lies in j's merged orbit, so label[label] is a valid jump

@@ -1,13 +1,19 @@
-"""Finite permutation groups: stabilizer chains, element tables, catalog.
+"""Finite permutation groups: element tables, stabilizer chains, catalog.
 
-The stabilizer chain is a deterministic Schreier-Sims: base points are chosen
-as the smallest point moved at each level, orbits are closed breadth-first in
-generator order, so the chain (and everything derived from it) is reproducible
-for a fixed generator sequence.
+Every subgroup is computed on the element table: ElementTable.subgroup
+closes element indices on the table's index maps, ElementTable.span takes
+greedy generators of the subgroup a mask spans, and normal closures, the
+derived series and solvability are read off the two. The stabilizer chain
+is a deterministic Schreier-Sims: base points are the smallest point moved
+at each level and orbits are closed breadth-first in generator order, so the
+chain is reproducible for a fixed generator sequence. It serves only the
+group order (the enumeration cap check), membership, and
+two_generated_order, the independent reference for |<x, y>|.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import mul
 
 import numpy as np
@@ -16,8 +22,6 @@ from .perm import MAX_DEGREE, Permutation, check_degree, identity, parse_cycles
 from .primes import prime_factors
 
 DEFAULT_CAP = 100_000
-
-_DERIVED_SERIES_LIMIT = 64
 
 
 class OrderCapExceeded(RuntimeError):
@@ -58,7 +62,10 @@ class StabilizerChain:
             if not g.is_identity() and g not in seen:
                 seen.add(g)
                 self._install(g, self._level_of(g))
-        self._close(len(self.base) - 1)
+        level = len(self.base) - 1
+        while level >= 0:  # deepest first, restarting at each new generator's level
+            drop = self._check_level(level)
+            level = level - 1 if drop is None else drop
 
     # -- construction ------------------------------------------------------
 
@@ -90,13 +97,6 @@ class StabilizerChain:
                     trans[q] = (v, v.inverse())
                     queue.append(q)
         self.transversals[level] = trans
-
-    def _close(self, level):
-        """Check levels `level`..0, restarting at each new generator's level;
-        every level deeper than `level` must already be complete."""
-        while level >= 0:
-            drop = self._check_level(level)
-            level = level - 1 if drop is None else drop
 
     def _check_level(self, level):
         """Sift all Schreier generators of this level; install the first non-trivial residue.
@@ -142,15 +142,6 @@ class StabilizerChain:
             raise ValueError(f"degree mismatch: {len(p)} vs {self.degree}")
         residue, _ = self.sift(p)
         return residue.is_identity()
-
-    def add_generator(self, g):
-        """Extend the chain with one more generator; no-op if already a member."""
-        if self.contains(g):
-            return False
-        level = self._level_of(g)
-        self._install(g, level)
-        self._close(level)
-        return True
 
 
 def two_generated_order(x, y):
@@ -257,6 +248,39 @@ class ElementTable:
             R, L = self.rmul[t][R], L[self.lmul[t]]
         return R, L
 
+    def subgroup(self, gens):
+        """Membership mask of the subgroup generated by the element indices
+        gens, closed from {e} under right multiplication by each generator,
+        along its word. By Lagrange a subgroup of more than n/p elements, p
+        the least prime dividing n, is G: the closure stops there.
+        """
+        n = len(self.elements)
+        words = [self.word(g) for g in gens]
+        inside = np.zeros(n, dtype=bool)
+        frontier = np.zeros(1, dtype=np.intp)  # the identity
+        while len(frontier):
+            inside[frontier] = True
+            if np.count_nonzero(inside) > n // min(prime_factors(n), default=1):
+                return np.ones(n, dtype=bool)
+            reached = np.zeros(n, dtype=bool)
+            for word in words:
+                products = frontier
+                for t in word:
+                    products = self.rmul[t][products]
+                reached[products] = True
+            frontier = np.flatnonzero(reached & ~inside)
+        return inside
+
+    def span(self, mask):
+        """(gens, <mask>): generator indices taken greedily, each the least
+        index of mask outside the subgroup of the earlier ones, and the
+        membership mask of the subgroup they generate."""
+        gens, inside = [], self.subgroup([])
+        while (outside := mask & ~inside).any():
+            gens.append(int(outside.argmax()))
+            inside = self.subgroup(gens)
+        return gens, inside
+
 
 def enumerate_elements(group, cap=DEFAULT_CAP):
     """Materialize all elements of the group, with orders, prime sets and classes.
@@ -351,54 +375,47 @@ def centralizer_elements(table, subset, x):
     return {i for i in subset if R[i] == L[i]}
 
 
-def normal_closure(group, seeds):
-    """Smallest subgroup containing the seeds that is closed under conjugation
-    by the group's generators."""
-    seeds = list(seeds)
+def normal_closure(table, seeds):
+    """Membership mask of the smallest normal subgroup holding the seeds."""
+    indices = []
     for s in seeds:
-        if not group.contains(s):
+        i = table.index_of.get(s)
+        if i is None:
             raise ValueError(f"seed {s} is not an element of the group")
-    gens = [s for s in seeds if not s.is_identity()]
-    if not gens:
-        return PermutationGroup([identity(group.degree)], degree=group.degree)
-    chain = StabilizerChain(gens, group.degree)
-    queue = deque(gens)
-    closure_gens = list(gens)
-    while queue:
-        s = queue.popleft()
-        for g in group.generators:
-            c = s.conjugate(g)
-            if chain.add_generator(c):
-                closure_gens.append(c)
-                queue.append(c)
-    return PermutationGroup(closure_gens, degree=group.degree)
+        indices.append(i)
+    return _normal_span(table, indices)[1]
 
 
-def derived_subgroup(group):
-    """Normal closure of the commutators of the generator pairs."""
-    comms = []
-    gens = group.generators
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            c = a.commutator(b)
-            if not c.is_identity():
-                comms.append(c)
-    return normal_closure(group, comms)
+def _normal_span(table, seeds):
+    """table.span of the union of the seed indices' conjugacy classes."""
+    return table.span(np.isin(table.class_of, [table.class_of[s] for s in seeds]))
 
 
-def is_solvable(group):
-    """Whether the derived series reaches the trivial group."""
-    current = group
-    order = current.order()
-    for _ in range(_DERIVED_SERIES_LIMIT):
-        if order == 1:
-            return True
-        current = derived_subgroup(current)
-        next_order = current.order()
-        if next_order == order:
+def _derived_span(table, gens):
+    """table.span of [H, H] for H = <gens> normal in G, as the G-normal
+    closure N of the commutators of H's generators: [H, H] is characteristic
+    in H, so normal in G, and holds N; H/N is abelian, so N holds [H, H]."""
+    x = table.elements
+    return _normal_span(table, [table.index_of[x[a].commutator(x[b])] for a, b in combinations(gens, 2)])
+
+
+def derived_subgroup(table):
+    """Membership mask of [G, G]."""
+    return _derived_span(table, [table.index_of[g] for g in table.generators])[1]
+
+
+def is_solvable(table):
+    """Whether the derived series reaches the trivial group. Every term is
+    normal in G, and the series stops when a term is no smaller than the
+    one before."""
+    gens = [table.index_of[g] for g in table.generators]
+    size = len(table)
+    while size > 1:
+        gens, mask = _derived_span(table, gens)
+        if mask.sum() == size:
             return False
-        order = next_order
-    raise RuntimeError("derived series did not terminate within the depth bound")
+        size = mask.sum()
+    return True
 
 
 # -- catalog ---------------------------------------------------------------

@@ -179,10 +179,6 @@ def test_criterion_6_higman_suite(sweep):
              checked >= 8, f"{checked} solvable groups")
 
 
-def _subgroup_indices(table, subgroup):
-    return {i for i, p in enumerate(table.elements) if subgroup.contains(p)}
-
-
 def test_criterion_7_translate_lemma_suites():
     t0 = time.perf_counter()
     cases = []
@@ -204,7 +200,7 @@ def test_criterion_7_translate_lemma_suites():
     instances = 0
     for group, seeds in cases:
         table = group.element_table()
-        n_idx = _subgroup_indices(table, normal_closure(group, seeds))
+        n_idx = set(np.flatnonzero(normal_closure(table, seeds)).tolist())
         size = len(table.elements)
         for x1 in range(size):
             for x2 in range(size):

@@ -143,14 +143,14 @@ class TestPathOnThree:
 
 class TestHigman:
     def test_d30_passes(self, d30):
-        out = check_higman(is_solvable(d30.group), sigma_set(d30.table), d30.graph)
+        out = check_higman(is_solvable(d30.table), sigma_set(d30.table), d30.graph)
         assert out.outcome == "pass"
 
     def test_two_prime_group_vacuous(self):
         group = catalog("sl23")
         table = group.element_table()
         graph = build_graph(table)
-        assert check_higman(is_solvable(group), sigma_set(table), graph).outcome == "pass"
+        assert check_higman(is_solvable(table), sigma_set(table), graph).outcome == "pass"
 
     def test_psl27_not_applicable(self):
         # non-solvable, and notably all its element orders are prime powers
@@ -158,11 +158,11 @@ class TestHigman:
         table = group.element_table()
         assert set(table.order_of) == {1, 2, 3, 4, 7}
         graph = build_graph(table)
-        assert check_higman(is_solvable(group), sigma_set(table), graph).outcome == "not-applicable"
+        assert check_higman(is_solvable(table), sigma_set(table), graph).outcome == "not-applicable"
 
     def test_verify_derives_solvability_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("triprime.analysis.is_solvable", lambda g: calls.append(g) or is_solvable(g))
+        monkeypatch.setattr("triprime.analysis.is_solvable", lambda t: calls.append(t) or is_solvable(t))
         verify_theorem(catalog("dihedral", 30))
         assert len(calls) == 1
 
@@ -196,6 +196,13 @@ class TestRdivides:
         b = d30.group.generators[1]
         subset = {0, d30.table.index_of[b]}
         with pytest.raises(ValueError, match="normal"):
+            check_rdivides(d30.table, subset, 1, 2)
+
+    def test_rejects_normal_non_subgroup(self, d30):
+        # the class {a^5, a^10} is normal, of prime size 2, but lacks e
+        a = d30.group.generators[0]
+        subset = {d30.table.index_of[a**5], d30.table.index_of[a**10]}
+        with pytest.raises(ValueError, match="subgroup"):
             check_rdivides(d30.table, subset, 1, 2)
 
     def test_rejects_non_prime_power(self, d30):

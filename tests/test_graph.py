@@ -413,7 +413,7 @@ class TestSubgroup:
         index = st.integers(min_value=0, max_value=len(table) - 1)
         for i, j in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=10)):
             x, y = table.elements[i], table.elements[j]
-            assert graph_module._subgroup(table, [i, j]).sum() == two_generated_order(x, y)
+            assert table.subgroup([i, j]).sum() == two_generated_order(x, y)
 
     @pytest.mark.parametrize(
         "name, n, cycles, size",
@@ -427,7 +427,7 @@ class TestSubgroup:
     def test_early_stop_is_exact(self, name, n, cycles, size):
         table = catalog(name, n).element_table()
         gens = [table.index_of[parse_cycles(c, table.degree)] for c in cycles]
-        mask = graph_module._subgroup(table, gens)
+        mask = table.subgroup(gens)
         # a mask holding e and closed under right multiplication by the
         # generators contains <gens>; with |<gens>| members it is <gens>
         assert mask[0] and mask.sum() == size
@@ -441,22 +441,34 @@ class TestSubgroup:
     def test_identity_alone(self, group):
         table = group.element_table()
         expected = np.arange(len(table)) == 0
-        assert np.array_equal(graph_module._subgroup(table, []), expected)
-        assert np.array_equal(graph_module._subgroup(table, [0]), expected)
+        assert np.array_equal(table.subgroup([]), expected)
+        assert np.array_equal(table.subgroup([0]), expected)
 
     @pytest.mark.parametrize("name, n, k", [("sl23_example", None, 3), ("psl27", None, 3), ("alternating", 7, 2)])
     def test_build_constructs_no_chain(self, monkeypatch, name, n, k):
         table = catalog(name, n).element_table()
-        built = []
-
-        class CountingChain(groups_module.StabilizerChain):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(groups_module, "StabilizerChain", CountingChain)
+        built = count_chains(monkeypatch)
         graph = build_graph(table, k=k)
         assert graph.chain_builds > 0 and built == []
+
+    @pytest.mark.parametrize("name, solvable", [("sl23_example", True), ("psl27", False)])
+    def test_solvability_constructs_no_chain(self, monkeypatch, name, solvable):
+        table = catalog(name).element_table()
+        built = count_chains(monkeypatch)
+        assert groups_module.is_solvable(table) is solvable and built == []
+
+
+def count_chains(monkeypatch):
+    """A list that gains an entry for each StabilizerChain constructed from now on."""
+    built = []
+
+    class CountingChain(groups_module.StabilizerChain):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(groups_module, "StabilizerChain", CountingChain)
+    return built
 
 
 class TestCertificates:

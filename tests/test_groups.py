@@ -4,8 +4,9 @@ import random
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triprime.groups import (
@@ -48,6 +49,15 @@ def closure_elements(generators):
                     nxt.append(q)
         frontier = nxt
     return seen
+
+
+def members(table, mask):
+    return {table.elements[i] for i in np.flatnonzero(mask)}
+
+
+def brute_derived(elements):
+    # independent oracle: the closure of every commutator [x, y], x, y in the subgroup
+    return closure_elements(list({x.commutator(y) for x in elements for y in elements}))
 
 
 class TestStabilizerChain:
@@ -132,10 +142,6 @@ class TestChainAgainstClosure:
         assert chain.order() == len(elements)
         assert two_generated_order(gens[0], gens[1]) == closure_order(gens[:2])
         n = len(gens[0])
-        grown = StabilizerChain(gens[:1], degree=n)
-        for g in gens[1:]:
-            grown.add_generator(g)
-        assert grown.order() == len(elements)
         samples = data.draw(st.lists(st.permutations(range(n)).map(Permutation), max_size=4))
         samples += data.draw(st.lists(st.sampled_from(sorted(elements)), max_size=4))
         for p in samples:
@@ -353,34 +359,34 @@ class TestCentralizer:
 
 class TestNormalClosure:
     def test_identity_seed(self):
-        g = catalog("symmetric", 4)
-        assert normal_closure(g, [identity(4)]).order() == 1
+        table = catalog("symmetric", 4).element_table()
+        assert normal_closure(table, [identity(4)]).sum() == 1
 
     def test_s4_klein_four(self):
-        g = catalog("symmetric", 4)
-        n = normal_closure(g, [from_cycles([(0, 1), (2, 3)], 4)])
-        assert n.order() == 4
+        table = catalog("symmetric", 4).element_table()
+        n = normal_closure(table, [from_cycles([(0, 1), (2, 3)], 4)])
+        assert n.sum() == 4
 
     def test_d30_rotation_power(self):
         g = catalog("dihedral", 30)
         a = g.generators[0]
-        assert normal_closure(g, [a**3]).order() == 5
+        assert normal_closure(g.element_table(), [a**3]).sum() == 5
 
     def test_seed_not_in_group(self):
-        g = catalog("alternating", 4)
+        table = catalog("alternating", 4).element_table()
         with pytest.raises(ValueError):
-            normal_closure(g, [from_cycles([(0, 1)], 4)])
+            normal_closure(table, [from_cycles([(0, 1)], 4)])
 
 
 class TestDerivedAndSolvable:
     def test_abelian_derived_trivial(self):
-        assert derived_subgroup(catalog("cyclic", 12)).order() == 1
+        assert derived_subgroup(catalog("cyclic", 12).element_table()).sum() == 1
 
     def test_s3_derived(self):
-        assert derived_subgroup(catalog("symmetric", 3)).order() == 3
+        assert derived_subgroup(catalog("symmetric", 3).element_table()).sum() == 3
 
     def test_s4_derived(self):
-        assert derived_subgroup(catalog("symmetric", 4)).order() == 12
+        assert derived_subgroup(catalog("symmetric", 4).element_table()).sum() == 12
 
     @pytest.mark.parametrize(
         "group,expected",
@@ -397,7 +403,23 @@ class TestDerivedAndSolvable:
         ids=lambda v: v.name if isinstance(v, PermutationGroup) else str(v),
     )
     def test_solvability(self, group, expected):
-        assert is_solvable(group) is expected
+        assert is_solvable(group.element_table()) is expected
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(gens=small_subgroups(), data=st.data())
+    def test_matches_brute_force(self, gens, data):
+        group = PermutationGroup(gens)
+        elements = closure_elements(gens)
+        assume(len(elements) <= 168)
+        table = group.element_table()
+        seeds = data.draw(st.lists(st.sampled_from(sorted(elements)), max_size=2))
+        conjugates = [s.conjugate(g) for s in seeds for g in elements]
+        assert members(table, normal_closure(table, seeds)) == closure_elements(conjugates or [identity(group.degree)])
+        assert members(table, derived_subgroup(table)) == brute_derived(elements)
+        series = elements
+        while len(derived := brute_derived(series)) < len(series):
+            series = derived
+        assert is_solvable(table) is (len(series) == 1)
 
 
 class TestCatalog:
