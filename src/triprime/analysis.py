@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import graph as graphmod
-from .groups import DEFAULT_CAP, centralizer_elements, is_solvable, two_generated_order
+from .groups import DEFAULT_CAP, centralizer_elements, is_solvable
 from .primes import is_squarefree, prime_factors
 
 
@@ -128,7 +128,7 @@ def check_rdivides(table, normal_indices, x1, x2):
     (_, L1), (_, L2) = table.mul_maps(x1), table.mul_maps(x2)
     for n1 in normal_indices:
         for n2 in normal_indices:
-            if two_generated_order(table.elements[L1[n1]], table.elements[L2[n2]]) % p == 0:
+            if table.subgroup([L1[n1], L2[n2]]).sum() % p == 0:
                 return LemmaOutcome("translate_pair_divisible", "pass", witness=(n1, n2))
     return LemmaOutcome("translate_pair_divisible", "fail", witness=(x1, x2))
 
@@ -141,7 +141,7 @@ def check_fpf(table, normal_indices, x, y):
         return LemmaOutcome("translate_single_divisible", "not-applicable", witness=x)
     _, L = table.mul_maps(y)
     for n in normal_indices:
-        if two_generated_order(table.elements[x], table.elements[L[n]]) % p == 0:
+        if table.subgroup([x, L[n]]).sum() % p == 0:
             return LemmaOutcome("translate_single_divisible", "pass", witness=n)
     return LemmaOutcome("translate_single_divisible", "fail", witness=(x, y))
 

@@ -3,16 +3,16 @@
 Every subgroup is computed on the element table: ElementTable.subgroup
 closes element indices on the table's index maps, ElementTable.span takes
 greedy generators of the subgroup a mask spans, and normal closures, the
-derived series and solvability are read off the two. The stabilizer chain
-is a deterministic Schreier-Sims: base points are the smallest point moved
-at each level and orbits are closed breadth-first in generator order, so the
-chain is reproducible for a fixed generator sequence. It serves only the
-group order (the enumeration cap check), membership, and
-two_generated_order, the independent reference for |<x, y>|.
+derived series and solvability are read off the two; the enumeration
+enforces the element cap. The stabilizer chain is a deterministic
+Schreier-Sims with the smallest moved point as each base point and orbits
+closed breadth-first in generator order, reproducible for a fixed generator
+sequence. It serves only the exact order named when a group over the cap is
+refused, membership, and two_generated_order, the reference for |<x, y>|.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
 
@@ -217,14 +217,14 @@ class ElementTable:
     index_of: dict
     order_of: list
     primes_of: list
-    rmul: list = field(default_factory=list)
-    lmul: list = field(default_factory=list)
-    inv: np.ndarray = None
-    parents: list = field(default_factory=list)
-    class_of: list = field(default_factory=list)
-    class_reps: list = field(default_factory=list)
-    conj_maps: list = field(default_factory=list)
-    class_trees: list = field(default_factory=list)
+    rmul: list
+    lmul: list
+    inv: np.ndarray
+    parents: list
+    class_of: list
+    class_reps: list
+    conj_maps: list
+    class_trees: list
 
     def __len__(self):
         return len(self.elements)
@@ -287,11 +287,9 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
 
     Enumeration is breadth-first closure of the generators under right
     multiplication, independent of the stabilizer chain (the two orders are
-    cross-checked in the test suite).
+    cross-checked in the test suite). Once the listing holds more than cap
+    elements, the identity counted, it raises OrderCapExceeded with the exact order.
     """
-    order = group.order()
-    if order > cap:
-        raise OrderCapExceeded(order, cap)
     e = identity(group.degree)
     elements = [e]
     index_of = {e: 0}
@@ -306,6 +304,8 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
                 elements.append(q)
                 parents.append((i, t))
             rmul[t].append(j)
+        if len(elements) > cap:
+            raise OrderCapExceeded(group.order(), cap)
     # g * (p * s) = (g * p) * s and (p * s)^-1 = s^-1 * p^-1, parents first
     lmul = [[m[0]] * len(elements) for m in rmul]
     for i, (p, s) in enumerate(parents[1:], 1):
@@ -315,39 +315,41 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
     inv = [0] * len(elements)
     for i, (p, s) in enumerate(parents[1:], 1):
         inv[i] = unmul[s][inv[p]]
-    table = ElementTable(
+    rmul = [np.array(m, dtype=np.intp) for m in rmul]
+    conj_maps = [m[u] for m, u in zip(rmul, unmul)]
+    class_of, class_reps, class_trees = conjugacy_classes(conj_maps)
+    # order and prime set are class functions: one cycle decomposition per class
+    orders = [elements[r].order() for r in class_reps]
+    primes = [prime_factors(o) for o in orders]
+    return ElementTable(
         degree=group.degree,
         generators=list(group.generators),
         elements=elements,
         index_of=index_of,
-        order_of=None,
-        primes_of=None,
-        rmul=[np.array(m, dtype=np.intp) for m in rmul],
+        order_of=[orders[c] for c in class_of],
+        primes_of=[primes[c] for c in class_of],
+        rmul=rmul,
         lmul=[np.array(m, dtype=np.intp) for m in lmul],
         inv=np.array(inv, dtype=np.intp),
         parents=parents,
-        conj_maps=[np.array(m, dtype=np.intp)[u] for m, u in zip(rmul, unmul)],
+        class_of=class_of,
+        class_reps=class_reps,
+        conj_maps=conj_maps,
+        class_trees=class_trees,
     )
-    conjugacy_classes(table)
-    # order and prime set are class functions: one cycle decomposition per class
-    orders = [elements[r].order() for r in table.class_reps]
-    primes = [prime_factors(o) for o in orders]
-    table.order_of = [orders[c] for c in table.class_of]
-    table.primes_of = [primes[c] for c in table.class_of]
-    return table
 
 
-def conjugacy_classes(table):
-    """Fill class ids, representatives and class trees from table.conj_maps.
+def conjugacy_classes(conj_maps):
+    """The ElementTable fields (class_of, class_reps, class_trees) read off its conj_maps.
 
     Classes are the orbits of conjugation by the generators; the
     representative of each class is its least element index.
     """
-    n = len(table.elements)
+    maps = [m.tolist() for m in conj_maps]
+    n = len(maps[0])
     class_of = [-1] * n
     reps = []
     trees = []
-    maps = [m.tolist() for m in table.conj_maps]
     for i in range(n):
         if class_of[i] >= 0:
             continue
@@ -363,10 +365,7 @@ def conjugacy_classes(table):
                     class_of[y] = cid
                     trees[cid].append((y, x, t))
                     members.append(y)
-    table.class_of = class_of
-    table.class_reps = reps
-    table.class_trees = trees
-    return table
+    return class_of, reps, trees
 
 
 def centralizer_elements(table, subset, x):

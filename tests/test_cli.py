@@ -167,6 +167,24 @@ class TestVerify:
         assert any("error" in r and "exceeds cap 100" in r["error"] for r in records)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "--catalog", "sl23_example"],
+        ["graph", "--catalog", "alternating", "--n", "7", "--k", "2", "--format", "graphml"],
+        ["verify", "--catalog-all", "--stable", "--jobs", "1"],
+    ],
+    ids=["info", "graph", "verify"],
+)
+def test_runs_construct_no_chain(capsys, tmp_path, count_chains, argv):
+    # an in-cap group is enumerated and answered from its element table alone
+    built = count_chains()
+    if argv[0] == "graph":
+        argv = argv + ["--out", str(tmp_path / "out.graphml")]
+    assert run(capsys, *argv)[0] == 0
+    assert built == []
+
+
 class TestCsv:
     def test_d30_reads_back(self, capsys, tmp_path):
         out_path = tmp_path / "d30.csv"

@@ -128,6 +128,7 @@ class TestBuildGraph:
             catalog("sl23"),
             catalog("symmetric", 4),
             catalog("alternating", 5),
+            catalog("alternating", 6),
         ],
         ids=lambda g: g.name,
     )
@@ -445,30 +446,17 @@ class TestSubgroup:
         assert np.array_equal(table.subgroup([0]), expected)
 
     @pytest.mark.parametrize("name, n, k", [("sl23_example", None, 3), ("psl27", None, 3), ("alternating", 7, 2)])
-    def test_build_constructs_no_chain(self, monkeypatch, name, n, k):
+    def test_build_constructs_no_chain(self, count_chains, name, n, k):
+        built = count_chains()
         table = catalog(name, n).element_table()
-        built = count_chains(monkeypatch)
         graph = build_graph(table, k=k)
         assert graph.chain_builds > 0 and built == []
 
     @pytest.mark.parametrize("name, solvable", [("sl23_example", True), ("psl27", False)])
-    def test_solvability_constructs_no_chain(self, monkeypatch, name, solvable):
+    def test_solvability_constructs_no_chain(self, count_chains, name, solvable):
+        built = count_chains()
         table = catalog(name).element_table()
-        built = count_chains(monkeypatch)
         assert groups_module.is_solvable(table) is solvable and built == []
-
-
-def count_chains(monkeypatch):
-    """A list that gains an entry for each StabilizerChain constructed from now on."""
-    built = []
-
-    class CountingChain(groups_module.StabilizerChain):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(groups_module, "StabilizerChain", CountingChain)
-    return built
 
 
 class TestCertificates:

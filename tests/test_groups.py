@@ -207,6 +207,18 @@ class TestEnumeration:
             enumerate_elements(catalog("symmetric", 5), cap=100)
         assert exc.value.order == 120
 
+    def test_cap_equal_to_order_lists_all(self):
+        assert len(enumerate_elements(catalog("symmetric", 4), cap=24).elements) == 24
+
+    @pytest.mark.parametrize(
+        "group, cap", [(catalog("symmetric", 4), 23), (PermutationGroup([], degree=3), 0)], ids=["s4", "trivial"]
+    )
+    def test_cap_one_below_order(self, group, cap):
+        # the trivial group finds no new element: only the identity exceeds cap 0
+        with pytest.raises(OrderCapExceeded) as exc:
+            enumerate_elements(group, cap=cap)
+        assert exc.value.order == cap + 1
+
     def test_cap_exceeded_pickles(self):
         exc = pickle.loads(pickle.dumps(OrderCapExceeded(120, 100)))
         assert isinstance(exc, OrderCapExceeded)
