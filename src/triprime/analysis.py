@@ -189,7 +189,7 @@ def _near_sigma_check(graph, sigma, sources, dist):
     return sources[missing[0]] if missing.size else None
 
 
-def verify_theorem(group, cap=DEFAULT_CAP, name=None, table=None, graph=None):
+def verify_theorem(group, cap=DEFAULT_CAP, table=None, graph=None):
     """Build the graph for the group and adjudicate every applicable claim.
 
     Returns a VerificationReport; a claim that fails carries a concrete
@@ -242,7 +242,7 @@ def verify_theorem(group, cap=DEFAULT_CAP, name=None, table=None, graph=None):
     ]
 
     return VerificationReport(
-        group=name or group.name or f"degree-{group.degree} group",
+        group=group.name or f"degree-{group.degree} group",
         order=order,
         primes=primes,
         solvable=solvable,

@@ -11,7 +11,7 @@ from functools import partial
 
 from . import exports
 from .analysis import verify_theorem
-from .graph import build_graph, distance, pool_map
+from .graph import DEFAULT_K, build_graph, distance, pool_map
 from .groups import (
     OrderCapExceeded,
     catalog,
@@ -44,12 +44,6 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
-
-
-def _add_spec_args(sub):
-    sub.add_argument("--catalog", metavar="NAME", help="catalog group name")
-    sub.add_argument("--n", type=int, default=None, help="parameter for parametric catalog groups")
-    sub.add_argument("--file", metavar="PATH", help="group file (degree: / gen: lines)")
 
 
 def _resolve_group(args):
@@ -142,6 +136,37 @@ def cmd_verify(args):
     return 0 if _emit(write, args.out) else 1
 
 
+_OPTIONS = {
+    "--catalog": dict(metavar="NAME", help="catalog group name"),
+    "--n": dict(type=int, help="parameter for parametric catalog groups"),
+    "--file": dict(metavar="PATH", help="group file (degree: / gen: lines)"),
+    "--catalog-all": dict(action="store_true", help="verify the whole catalog"),
+    "x": dict(help="first element in cycle notation"),
+    "y": dict(help="second element in cycle notation"),
+    "--k": dict(type=_positive_int, default=DEFAULT_K),
+    "--format": dict(default="dot", help=" | ".join(exports.FORMATS)),
+    "--cap": dict(type=_positive_int, default=CLI_CAP),
+    "--jobs": dict(type=_positive_int, default=1),
+    "--stable": dict(action="store_true",
+                     help="report in catalog order (always the case; accepted for compatibility)"),
+    "--out": dict(),
+}
+
+_SPEC = ("--catalog", "--n", "--file")
+
+# (name, handler, help, the flags it takes in help order)
+_COMMANDS = [
+    ("info", cmd_info, "group summary: order, primes, solvability, classes",
+     (*_SPEC, "--cap", "--out")),
+    ("graph", cmd_graph, "export the graph",
+     (*_SPEC, "--k", "--format", "--cap", "--jobs", "--out")),
+    ("distance", cmd_distance, "distance between two elements, by cycle notation",
+     (*_SPEC, "x", "y", "--k", "--cap", "--jobs")),
+    ("verify", cmd_verify, "run the verification harness",
+     (*_SPEC, "--catalog-all", "--cap", "--jobs", "--stable", "--out")),
+]
+
+
 def build_parser():
     parser = _Parser(
         prog="triprime",
@@ -149,40 +174,11 @@ def build_parser():
         "generate a subgroup whose order has at least k distinct prime divisors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_info = sub.add_parser("info", help="group summary: order, primes, solvability, classes")
-    _add_spec_args(p_info)
-    p_info.add_argument("--cap", type=_positive_int, default=CLI_CAP)
-    p_info.add_argument("--out", default=None)
-    p_info.set_defaults(func=cmd_info)
-
-    p_graph = sub.add_parser("graph", help="export the graph")
-    _add_spec_args(p_graph)
-    p_graph.add_argument("--k", type=_positive_int, default=3)
-    p_graph.add_argument("--format", default="dot", help="dot | graphml | csv | json")
-    p_graph.add_argument("--cap", type=_positive_int, default=CLI_CAP)
-    p_graph.add_argument("--jobs", type=_positive_int, default=1)
-    p_graph.add_argument("--out", default=None)
-    p_graph.set_defaults(func=cmd_graph)
-
-    p_dist = sub.add_parser("distance", help="distance between two elements, by cycle notation")
-    _add_spec_args(p_dist)
-    p_dist.add_argument("x", help="first element in cycle notation")
-    p_dist.add_argument("y", help="second element in cycle notation")
-    p_dist.add_argument("--k", type=_positive_int, default=3)
-    p_dist.add_argument("--cap", type=_positive_int, default=CLI_CAP)
-    p_dist.add_argument("--jobs", type=_positive_int, default=1)
-    p_dist.set_defaults(func=cmd_distance)
-
-    p_verify = sub.add_parser("verify", help="run the verification harness")
-    _add_spec_args(p_verify)
-    p_verify.add_argument("--catalog-all", action="store_true", help="verify the whole catalog")
-    p_verify.add_argument("--cap", type=_positive_int, default=CLI_CAP)
-    p_verify.add_argument("--jobs", type=_positive_int, default=1)
-    p_verify.add_argument("--stable", action="store_true",
-                          help="report in catalog order (always the case; accepted for compatibility)")
-    p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=cmd_verify)
+    for name, handler, summary, flags in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -519,14 +519,12 @@ def _sl23_example():
     return PermutationGroup(gens, name="sl23_example")
 
 
-def direct_product(g, h, name=None):
+def direct_product(g, h):
     """Direct product acting on the disjoint union of the two point sets."""
     n, m = g.degree, h.degree
     gens = [_beside(a, identity(m)) for a in g.generators]
     gens += [_beside(identity(n), b) for b in h.generators]
-    if name is None:
-        name = f"{g.name or 'G'} x {h.name or 'H'}"
-    return PermutationGroup(gens, degree=n + m, name=name)
+    return PermutationGroup(gens, degree=n + m, name=f"{g.name or 'G'} x {h.name or 'H'}")
 
 
 _PARAMETRIC = {

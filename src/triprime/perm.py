@@ -10,7 +10,7 @@ import re
 
 MAX_DEGREE = 1024
 
-_CYCLE_RE = re.compile(r"\(\s*(\d+)\s*(?:,\s*(\d+)\s*)+\)")
+_PERMUTATION_RE = re.compile(r"\(\)|(?:\(\d+(?:,\d+)+\))+")
 
 
 class Permutation(tuple):
@@ -146,21 +146,12 @@ def parse_cycles(text, degree):
     repeated points, or points outside 1..degree.
     """
     stripped = re.sub(r"\s+", "", text)
-    if stripped == "()":
-        return identity(degree)
-    if not stripped:
+    if not _PERMUTATION_RE.fullmatch(stripped):
         raise ValueError(f"malformed cycle notation: {text!r}")
-    cycles = []
-    pos = 0
-    while pos < len(stripped):
-        m = _CYCLE_RE.match(stripped, pos)
-        if m is None:
-            raise ValueError(f"malformed cycle notation: {text!r}")
-        body = m.group(0)[1:-1]
-        cycles.append(tuple(int(tok) - 1 for tok in body.split(",")))
-        pos = m.end()
+    bodies = re.findall(r"[\d,]+", stripped)
+    cycles = [tuple(int(tok) - 1 for tok in body.split(",")) for body in bodies]
     for cyc in cycles:
         for a in cyc:
             if not 0 <= a < degree:
                 raise ValueError(f"point {a + 1} out of range for degree {degree}")
-    return from_cycles(cycles, degree)
+    return from_cycles(cycles, degree) if cycles else identity(degree)

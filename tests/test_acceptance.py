@@ -46,7 +46,7 @@ def sweep(sl23x):
         else:
             table = group.element_table()
             graph = build_graph(table)
-        report = verify_theorem(group, table=table, graph=graph, name=group.name)
+        report = verify_theorem(group, table=table, graph=graph)
         bundles[group.name] = SimpleNamespace(
             group=group, table=table, graph=graph,
             diam=diameter(graph), report=report,

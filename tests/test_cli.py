@@ -1,4 +1,6 @@
+import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +9,8 @@ import sys
 import pytest
 
 import triprime
-from triprime.cli import main
+from triprime.cli import build_parser, main
+from triprime.groups import catalog, standard_catalog
 
 
 def run(capsys, *argv):
@@ -285,3 +288,96 @@ def test_cli_import_skips_urllib():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+# The standard_catalog() groups that --catalog can name: all but the three direct products.
+CATALOG_SPECS = [
+    ("cyclic", 2), ("cyclic", 30), ("cyclic", 105), ("cyclic", 210),
+    ("dihedral", 30), ("dihedral", 210), ("symmetric", 4), ("symmetric", 5),
+    ("alternating", 5), ("frobenius21", None), ("psl27", None), ("sl23", None),
+    ("sl23_example", None),
+]
+
+
+def test_info_on_the_catalog_is_pinned(capsys):
+    assert [catalog(name, n).name for name, n in CATALOG_SPECS] == [
+        g.name for g in standard_catalog() if " x " not in g.name
+    ]
+    digest = hashlib.sha256()
+    for name, n in CATALOG_SPECS:
+        code, out, err = run(capsys, "info", "--catalog", name, *([] if n is None else ["--n", str(n)]))
+        assert (code, err) == (0, "")
+        digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == "0d759b62c994e8d5f7a33dda8e1d8ed5c271caef97e272f976abbded80995fa4"
+
+
+class _Sha256Sink:
+    """A text stream that hashes what is written to it and keeps nothing."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_a7_k2_graphml_is_pinned(monkeypatch):
+    # about 130 MB of GraphML, hashed as it streams out
+    sink = _Sha256Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    argv = ["graph", "--catalog", "alternating", "--n", "7", "--k", "2", "--format", "graphml"]
+    assert main(argv) == 0
+    assert sink.digest.hexdigest() == "46d3d9b5626b4f2b692719f9956a478915ea10e9d40a155cec49428f46282352"
+
+
+_SPEC_ACTIONS = [
+    (("-h", "--help"), "help", argparse.SUPPRESS, None, "show this help message and exit"),
+    (("--catalog",), "catalog", None, None, "catalog group name"),
+    (("--n",), "n", None, "int", "parameter for parametric catalog groups"),
+    (("--file",), "file", None, None, "group file (degree: / gen: lines)"),
+]
+_CAP = (("--cap",), "cap", 20000, "_positive_int", None)
+_JOBS = (("--jobs",), "jobs", 1, "_positive_int", None)
+_K = (("--k",), "k", 3, "_positive_int", None)
+_OUT = (("--out",), "out", None, None, None)
+
+
+@pytest.mark.parametrize(
+    "command,expected",
+    [
+        ("info", [*_SPEC_ACTIONS, _CAP, _OUT]),
+        ("graph", [
+            *_SPEC_ACTIONS, _K,
+            (("--format",), "format", "dot", None, "dot | graphml | csv | json"),
+            _CAP, _JOBS, _OUT,
+        ]),
+        ("distance", [
+            *_SPEC_ACTIONS,
+            ((), "x", None, None, "first element in cycle notation"),
+            ((), "y", None, None, "second element in cycle notation"),
+            _K, _CAP, _JOBS,
+        ]),
+        ("verify", [
+            *_SPEC_ACTIONS,
+            (("--catalog-all",), "catalog_all", False, None, "verify the whole catalog"),
+            _CAP, _JOBS,
+            (("--stable",), "stable", False, None,
+             "report in catalog order (always the case; accepted for compatibility)"),
+            _OUT,
+        ]),
+    ],
+)
+def test_parser_structure(command, expected):
+    # every command's options, in order, with their defaults and types (help text aside)
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == ["info", "graph", "distance", "verify"]
+    actions = subparsers.choices[command]._actions
+    assert [
+        (tuple(a.option_strings), a.dest, a.default, getattr(a.type, "__name__", None), a.help)
+        for a in actions
+    ] == expected

@@ -154,12 +154,22 @@ class TestTextFormat:
             parse_cycles("(0,1)", 5)
 
     def test_malformed_rejected(self):
-        for bad in ["(1,2", "1,2)", "(1)", "(a,b)", "(1,2)x", ""]:
+        for bad in ["(1,2", "1,2)", "(1)", "(a,b)", "(1,2)x", "",
+                    "(1,2)()", "()(1,2)", "()()", "((1,2))", "(1,,2)", "(1,2,)"]:
             with pytest.raises(ValueError):
                 parse_cycles(bad, 5)
 
+    def test_error_messages(self):
+        # the range check runs before the repeat check, whatever the cycle order
+        with pytest.raises(ValueError, match=r"^point 99 out of range for degree 5$"):
+            parse_cycles("(1,2)(3,99)(1,3)", 5)
+        with pytest.raises(ValueError, match=r"^repeated point 1$"):
+            parse_cycles("(1,1,2)", 5)
+
     def test_whitespace_ignored(self):
         assert parse_cycles(" ( 1 , 2 , 3 ) ( 4 , 5 ) ", 5) == parse_cycles("(1,2,3)(4,5)", 5)
+        assert parse_cycles("( )", 5) == parse_cycles("()", 5)
+        assert parse_cycles("( 1,2 )\n(3,\t4)", 5) == parse_cycles("(1,2)(3,4)", 5)
 
     def test_format_identity(self):
         assert format_cycles(identity(7)) == "()"
