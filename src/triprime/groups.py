@@ -4,16 +4,16 @@ Every subgroup is computed on the element table: ElementTable.subgroup
 closes element indices on the table's index maps, ElementTable.span takes
 greedy generators of the subgroup a mask spans, and normal closures, the
 derived series and solvability are read off the two; the enumeration
-enforces the element cap. The stabilizer chain is a deterministic
-Schreier-Sims with the smallest moved point as each base point and orbits
-closed breadth-first in generator order, reproducible for a fixed generator
-sequence. It serves only the exact order named when a group over the cap is
-refused, membership, and two_generated_order, the reference for |<x, y>|.
+enforces the element cap. The stabilizer chain is the deterministic
+incremental Schreier-Sims, with the smallest moved point as each base point
+and orbits extended breadth-first in generator order, reproducible for a
+fixed generator sequence. It serves only the exact order named when a group
+over the cap is refused, and two_generated_order, the reference for |<x, y>|.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from operator import mul
 
 import numpy as np
@@ -39,9 +39,13 @@ class OrderCapExceeded(RuntimeError):
 class StabilizerChain:
     """Base, basic orbits and transversals for a permutation group.
 
-    gens[l] lists the strong generators that fix base[:l], in install order.
-    Transversal entries are stored as (u, u_inverse) pairs with u mapping the
-    base point of the level to the orbit point.
+    gens[l] lists strong generators that fix base[:l], in the order added;
+    transversals[l] maps each point of the orbit of base[l] under gens[l] to
+    (u, u_inverse), u mapping base[l] to the point. Built by the incremental
+    Schreier-Sims of the Handbook of Computational Group Theory, 4.4: levels
+    are walked deepest first and each Schreier generator is sifted once; a
+    residue of level l that drops to level j joins gens[l+1..j], and the walk
+    resumes at j.
     """
 
     def __init__(self, generators, degree=None):
@@ -57,74 +61,61 @@ class StabilizerChain:
         self.base = []
         self.gens = []
         self.transversals = []
-        seen = set()
-        for g in generators:
-            if not g.is_identity() and g not in seen:
-                seen.add(g)
-                self._install(g, self._level_of(g))
+        self._tested = []  # per level, the (orbit point, generator index) pairs already sifted
+        for g in dict.fromkeys(generators):
+            if not g.is_identity():
+                self._add(g, 0, next((l for l, b in enumerate(self.base) if g[b] != b), len(self.base)))
         level = len(self.base) - 1
-        while level >= 0:  # deepest first, restarting at each new generator's level
-            drop = self._check_level(level)
-            level = level - 1 if drop is None else drop
+        while level >= 0:
+            h, drop = self._residue(level)
+            if h is None:
+                level -= 1
+            else:
+                self._add(h, level + 1, drop)
+                level = drop
 
-    # -- construction ------------------------------------------------------
-
-    def _level_of(self, g):
-        """Index of the first base point g moves; len(base) when it fixes them all."""
-        return next((l for l, b in enumerate(self.base) if g[b] != b), len(self.base))
-
-    def _install(self, g, level):
-        """Add g to gens[0..level], first extending the base if level == len(base)."""
-        if level == len(self.base):
-            self.base.append(next(i for i in range(len(g)) if g[i] != i))
+    def _add(self, h, first, last):
+        """Add h to gens[first..last], first extending the base if last == len(base),
+        and extend those levels' orbits in place."""
+        if last == len(self.base):
+            b = next(i for i in range(self.degree) if h[i] != i)
+            e = identity(self.degree)
+            self.base.append(b)
             self.gens.append([])
-            self.transversals.append(None)
-        for gens in self.gens[: level + 1]:
-            gens.append(g)
+            self.transversals.append({b: (e, e)})
+            self._tested.append(set())
+        for level in range(first, last + 1):
+            gens, trans = self.gens[level], self.transversals[level]
+            gens.append(h)
+            orbit = list(trans)
+            for p in orbit:  # the list is the queue: it grows while it is read
+                for s in gens:
+                    q = s[p]
+                    if q not in trans:
+                        v = trans[p][0] * s
+                        trans[q] = (v, v.inverse())
+                        orbit.append(q)
 
-    def _orbit(self, level):
-        b = self.base[level]
-        e = identity(self.degree)
-        trans = {b: (e, e)}
-        queue = deque([b])
-        while queue:
-            p = queue.popleft()
-            u = trans[p][0]
-            for s in self.gens[level]:
-                q = s[p]
-                if q not in trans:
-                    v = u * s
-                    trans[q] = (v, v.inverse())
-                    queue.append(q)
-        self.transversals[level] = trans
-
-    def _check_level(self, level):
-        """Sift all Schreier generators of this level; install the first non-trivial residue.
-
-        Returns the level the new strong generator belongs to, or None when
-        the level is complete.
-        """
-        self._orbit(level)
-        gens = self.gens[level]
-        trans = self.transversals[level]
-        for p in sorted(trans):
-            u = trans[p][0]
-            for s in gens:
-                sg = u * s * trans[s[p]][1]
-                if sg.is_identity():
+    def _residue(self, level):
+        """Sift this level's untested Schreier generators through the levels below;
+        the first non-trivial residue and the level it reached, or (None, None)."""
+        trans, tested = self.transversals[level], self._tested[level]
+        for p, (u, _) in trans.items():
+            for t, s in enumerate(self.gens[level]):
+                if (p, t) in tested:
                     continue
-                h, drop = self.sift(sg, level + 1)
+                tested.add((p, t))
+                h, drop = self.sift(u * s * trans[s[p]][1], level + 1)
                 if not h.is_identity():
-                    self._install(h, drop)
-                    return drop
-        return None
-
-    # -- queries -----------------------------------------------------------
+                    return h, drop
+        return None, None
 
     def sift(self, p, start=0):
         """Reduce p through the chain; returns (residue, level reached)."""
-        for level in range(start, len(self.base)):
-            x = p[self.base[level]]
+        for level, b in enumerate(self.base[start:], start):
+            x = p[b]
+            if x == b:  # the base point's entry is the identity
+                continue
             entry = self.transversals[level].get(x)
             if entry is None:
                 return p, level
@@ -132,16 +123,7 @@ class StabilizerChain:
         return p, len(self.base)
 
     def order(self):
-        n = 1
-        for trans in self.transversals:
-            n *= len(trans)
-        return n
-
-    def contains(self, p):
-        if len(p) != self.degree:
-            raise ValueError(f"degree mismatch: {len(p)} vs {self.degree}")
-        residue, _ = self.sift(p)
-        return residue.is_identity()
+        return prod(map(len, self.transversals))
 
 
 def two_generated_order(x, y):
@@ -179,12 +161,6 @@ class PermutationGroup:
 
     def order(self):
         return self.chain.order()
-
-    def contains(self, p):
-        return self.chain.contains(p)
-
-    def __contains__(self, p):
-        return self.contains(p)
 
     def __repr__(self):
         label = self.name or f"degree-{self.degree} group"

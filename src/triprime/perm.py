@@ -117,6 +117,7 @@ def identity(n):
 
 def from_cycles(cycles, degree):
     """Build a permutation from disjoint cycles of 0-based points."""
+    check_degree(degree)
     images = list(range(degree))
     touched = set()
     for cyc in cycles:

@@ -2,9 +2,11 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -49,6 +51,14 @@ class TestInfo:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_refusal_names_the_order_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "info", "--catalog", "symmetric", "--n", "50")
+        assert time.perf_counter() - start < 30
+        assert code == 2
+        assert out == ""
+        assert err == f"error: group order {math.factorial(50)} exceeds cap 20000; raise the cap to proceed\n"
 
     def test_requires_exactly_one_spec(self, capsys):
         code, _, err = run(capsys, "info")

@@ -51,6 +51,15 @@ def closure_elements(generators):
     return seen
 
 
+def closure_orbit(point, generators):
+    # independent oracle: the orbit of a point under the generators
+    orbit = frontier = {point}
+    while frontier:
+        frontier = {g[p] for p in frontier for g in generators} - orbit
+        orbit |= frontier
+    return orbit
+
+
 def members(table, mask):
     return {table.elements[i] for i in np.flatnonzero(mask)}
 
@@ -108,21 +117,25 @@ class TestStabilizerChain:
     def test_order_matches_exhaustive_closure(self, group):
         assert group.order() == closure_order(group.generators)
 
-    @pytest.mark.parametrize("name,n", [("symmetric", 5), ("sl23_example", None)])
-    def test_one_orbit_build_per_level_check(self, monkeypatch, name, n):
-        calls = Counter()
-        for method in ("_orbit", "_check_level"):
-            original = getattr(StabilizerChain, method)
+    @pytest.mark.parametrize("name,n", [("symmetric", 5), ("sl23_example", None), ("symmetric", 8)])
+    def test_each_schreier_generator_sifted_once(self, monkeypatch, name, n):
+        # at most one sift per (orbit point, strong generator) pair of a level, and
+        # residues go only to the levels below the one whose Schreier generator left them
+        sifts = Counter()
+        original = StabilizerChain.sift
 
-            def counted(self, level, _original=original, _method=method):
-                calls[_method] += 1
-                return _original(self, level)
+        def counted(self, p, start=0):
+            sifts[start] += 1
+            return original(self, p, start)
 
-            monkeypatch.setattr(StabilizerChain, method, counted)
+        monkeypatch.setattr(StabilizerChain, "sift", counted)
         group = catalog(name, n)
-        assert StabilizerChain(group.generators).order() == group.order()
-        assert calls["_check_level"] > 0
-        assert calls["_orbit"] == calls["_check_level"]
+        chain = StabilizerChain(group.generators)
+        assert chain.order() == len(group.element_table())
+        assert sifts[0] == 0 and sifts.total() > 0
+        for level, (trans, gens) in enumerate(zip(chain.transversals, chain.gens)):
+            assert sifts[level + 1] <= len(trans) * len(gens)
+        assert chain.gens[0] == group.generators
 
 
 @st.composite
@@ -145,10 +158,12 @@ class TestChainAgainstClosure:
         samples = data.draw(st.lists(st.permutations(range(n)).map(Permutation), max_size=4))
         samples += data.draw(st.lists(st.sampled_from(sorted(elements)), max_size=4))
         for p in samples:
-            assert chain.contains(p) == (p in elements)
-        for level, gens_at in enumerate(chain.gens):
-            prefix = chain.base[:level]
-            assert gens_at == [g for g in chain.gens[0] if all(g[b] == b for b in prefix)]
+            assert chain.sift(p)[0].is_identity() == (p in elements)
+        for level, (gens_at, trans) in enumerate(zip(chain.gens, chain.transversals)):
+            b = chain.base[level]
+            assert all(g[c] == c for g in gens_at for c in chain.base[:level])
+            assert set(trans) == closure_orbit(b, gens_at)
+            assert all(u[b] == p and (u * v).is_identity() for p, (u, v) in trans.items())
 
 
 class TestIndexLayer:
@@ -175,22 +190,22 @@ class TestIndexLayer:
 
 
 class TestContains:
+    # membership is a lookup in the element table
     def test_identity_in_any_group(self):
         for g in (catalog("dihedral", 30), catalog("alternating", 5)):
-            assert identity(g.degree) in g
+            assert identity(g.degree) in g.element_table().index_of
 
     def test_odd_permutation_not_in_a4(self):
         a4 = catalog("alternating", 4)
-        assert from_cycles([(0, 1)], 4) not in a4
+        assert from_cycles([(0, 1)], 4) not in a4.element_table().index_of
 
     def test_generators_in_group(self):
         g = catalog("psl27")
         for gen in g.generators:
-            assert gen in g
+            assert gen in g.element_table().index_of
 
     def test_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            catalog("dihedral", 30).contains(identity(4))
+        assert identity(4) not in catalog("dihedral", 30).element_table().index_of
 
 
 class TestEnumeration:

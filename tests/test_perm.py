@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -51,6 +52,18 @@ class TestConstruction:
     def test_parsed_identity_over_the_bound(self):
         with pytest.raises(ValueError, match="exceeds the supported maximum"):
             parse_cycles("()", 5000)
+
+    @pytest.mark.parametrize("text", ["()", "(1,2)"])
+    def test_parsed_over_the_bound_allocates_nothing(self, text):
+        # refused before any degree-sized list is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="degree 2000000 exceeds the supported maximum 1024"):
+                parse_cycles(text, 2_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestCompose:
