@@ -4,6 +4,12 @@ they generate a subgroup whose order has at least k distinct prime divisors
 arithmetic, stabilizer chains, conjugacy classes, the prime graph on element
 orders, and a verification harness."""
 
+import os
+
+# numpy's OpenBLAS would start a thread pool that nothing here uses (no
+# matrix products); one thread unless the caller chose otherwise
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analysis import (
     LemmaOutcome,
     PrimeGraph,

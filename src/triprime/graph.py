@@ -151,7 +151,7 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
                      isolated=isolated, vertices=vertices, chain_builds=builds)
 
 
-def _row(table, k, prime_mask, rep):
+def _row(table, k, prime_mask, class_of, rep):
     """Adjacency entries of one class representative in its own and later
     classes, with its count of exact subgroup orders; the rest stay False.
 
@@ -159,27 +159,31 @@ def _row(table, k, prime_mask, rep):
     j -> j*r and j -> j^-1, so the row is constant on these orbits. An orbit
     is adjacent when the primes of r and of one member already reach k, and
     otherwise not when its members commute with r (R == L): <r, j> is then
-    abelian, with the primes of r and j. When some orbit is left open, the
-    orbits are merged further under conjugation by N_G(<r>): for g there,
-    <r, j^g> = <r, j>^g has the order of <r, j>, and conjugation by g keeps
-    classes, prime sets and commuting with r, since r^g generates <r>. Every
-    merged orbit still open that meets the own or later classes is decided
-    once, at its least index.
+    abelian, with the primes of r and j. A central r, alone in its class,
+    commutes with every j, so its row is read off the primes with no orbits.
+    When some orbit is left open, the orbits are merged further under
+    conjugation by N_G(<r>): for g there, <r, j^g> = <r, j>^g has the order
+    of <r, j>, and conjugation by g keeps classes, prime sets and commuting
+    with r, since r^g generates <r>. Every merged orbit still open that meets
+    the own or later classes is decided once, at its least index.
     """
-    R, L = table.mul_maps(rep)
-    commuting = R == L
-    label = _product_orbits(table, rep, R, L)
     reach = (prime_mask | prime_mask[:, rep, None]).sum(axis=0) >= k
-    own = np.asarray(table.class_of) >= table.class_of[rep]
-    hit, undecided = _open_orbits(label, reach, own, commuting)
-    if undecided.any():
-        label = _normalizer_orbits(table, rep, R, L, label)
-        hit, undecided = _open_orbits(label, reach, own, commuting)
+    own = class_of >= class_of[rep]
     builds = 0
-    for m in np.flatnonzero(undecided):
-        hit[m], b = _adjacent_counted(table, rep, int(m), k)
-        builds += b
-    row = hit[label] & own
+    if not table.class_trees[class_of[rep]]:  # r is central
+        row = reach & own
+    else:
+        R, L = table.mul_maps(rep)
+        commuting = R == L
+        label = _product_orbits(table, rep, R, L)
+        hit, undecided = _open_orbits(label, reach, own, commuting)
+        if undecided.any():
+            label = _normalizer_orbits(table, rep, R, L, label)
+            hit, undecided = _open_orbits(label, reach, own, commuting)
+        for m in np.flatnonzero(undecided):
+            hit[m], b = _adjacent_counted(table, rep, int(m), k)
+            builds += b
+        row = hit[label] & own
     row[rep] = False
     return row, builds
 
@@ -243,7 +247,7 @@ def _build_reduced(table, k, adjacency, jobs):
     primes = prime_factors(len(table.elements))
     prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes])  # (primes, n)
     builds = 0
-    rows = pool_map(partial(_row, table, k, prime_mask), table.class_reps, jobs)
+    rows = pool_map(partial(_row, table, k, prime_mask, np.asarray(table.class_of)), table.class_reps, jobs)
     for rep, tree, (row, b) in zip(table.class_reps, table.class_trees, rows):
         adjacency[rep] = row | adjacency[:, rep]
         for y, x, t in tree:
@@ -253,20 +257,27 @@ def _build_reduced(table, k, adjacency, jobs):
 
 
 def _bfs_levels(graph, source):
-    """Distance array over all element indices; -1 marks unreachable."""
-    n = graph.n
-    dist = np.full(n, -1, dtype=np.int32)
+    """Distance array over all element indices; -1 marks unreachable.
+
+    Direction-optimizing (Beamer, Asanovic & Patterson, SC 2012) over
+    graph.vertices: a level goes top-down, from the frontier's rows, while
+    the frontier is no larger than the unvisited set, and bottom-up after
+    that, asking which unvisited vertices have a neighbour in the frontier.
+    """
+    A = graph.adjacency
+    dist = np.full(graph.n, -1, dtype=np.int32)
     dist[source] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
-    visited = frontier.copy()
+    frontier = np.array([source])
+    unvisited = graph.vertices[graph.vertices != source]
     d = 0
-    while frontier.any():
+    while len(frontier) and len(unvisited):
         d += 1
-        nxt = graph.adjacency[frontier].any(axis=0) & ~visited
-        dist[nxt] = d
-        visited |= nxt
-        frontier = nxt
+        if len(frontier) <= len(unvisited):
+            found = A[frontier][:, unvisited].any(axis=0)
+        else:
+            found = A[unvisited][:, frontier].any(axis=1)
+        frontier, unvisited = unvisited[found], unvisited[~found]
+        dist[frontier] = d
     return dist
 
 

@@ -61,3 +61,22 @@ def count_chains(monkeypatch):
         return built
 
     return start
+
+
+@pytest.fixture
+def count_letters():
+    """A function that starts the count on a table: it returns a list that
+    gains an entry for each mul_maps letter composed, one read of table.lmul."""
+
+    def start(table):
+        letters = []
+
+        class CountedMaps(list):
+            def __getitem__(self, t):
+                letters.append(t)
+                return super().__getitem__(t)
+
+        table.lmul = CountedMaps(table.lmul)
+        return letters
+
+    return start

@@ -300,6 +300,20 @@ def test_cli_import_skips_urllib():
     assert result.stdout == "False\n"
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_defaults_blas_to_one_thread(preset, expected):
+    # numpy's OpenBLAS thread pool has no work here; a value the caller set wins
+    src = os.path.dirname(os.path.dirname(triprime.__file__))
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, triprime; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == expected + "\n"
+
+
 # The standard_catalog() groups that --catalog can name: all but the three direct products.
 CATALOG_SPECS = [
     ("cyclic", 2), ("cyclic", 30), ("cyclic", 105), ("cyclic", 210),

@@ -1,5 +1,6 @@
 import multiprocessing
 import random
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -20,6 +21,7 @@ from triprime.graph import (
     distance,
     neighbor_order_profile,
     pool_map,
+    rep_distances,
 )
 from triprime.groups import PermutationGroup, catalog, direct_product, standard_catalog, two_generated_order
 from triprime.perm import Permutation, parse_cycles
@@ -304,6 +306,53 @@ def small_groups(draw):
     return PermutationGroup(gens)
 
 
+def top_down_levels(adjacency, source):
+    # the plain dense BFS: each level reads the frontier's full rows
+    n = len(adjacency)
+    dist = np.full(n, -1, dtype=np.int32)
+    dist[source] = 0
+    frontier = np.zeros(n, dtype=bool)
+    frontier[source] = True
+    visited = frontier.copy()
+    d = 0
+    while frontier.any():
+        d += 1
+        frontier = adjacency[frontier].any(axis=0) & ~visited
+        dist[frontier] = d
+        visited |= frontier
+    return dist
+
+
+class TestBfsLevels:
+    # the direction-optimizing BFS against the plain top-down one, from
+    # every source, isolated ones included
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_top_down_on_the_catalog(self, k):
+        for group in standard_catalog():
+            graph = build_graph(group.element_table(), k=k)
+            for s in range(graph.n):
+                assert np.array_equal(graph_module._bfs_levels(graph, s), top_down_levels(graph.adjacency, s))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(group=small_groups(), k=st.sampled_from([2, 3]))
+    def test_matches_top_down_on_small_groups(self, group, k):
+        graph = build_graph(group.element_table(), k=k)
+        for s in range(graph.n):
+            assert np.array_equal(graph_module._bfs_levels(graph, s), top_down_levels(graph.adjacency, s))
+
+    def test_peak_memory_under_half_the_matrix(self):
+        # no level copies the frontier's full rows once the frontier is the
+        # larger side: A7 at k = 2 reaches most vertices in one step
+        graph = build_graph(catalog("alternating", 7).element_table(), k=2)
+        tracemalloc.start()
+        try:
+            rep_distances(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < graph.adjacency.nbytes / 2
+
+
 class TestReducedBuild:
     @pytest.mark.parametrize(
         "name, n, total", [("dihedral", 30, 3), ("symmetric", 5, 23), ("psl27", None, 25)]
@@ -380,6 +429,35 @@ class TestReducedBuild:
             g = table.elements[i]
             R, L = table.mul_maps(i)
             assert list(R[np.argsort(L)]) == [table.index_of[g.inverse() * y * g] for y in table.elements]
+
+    @pytest.mark.parametrize(
+        "group",
+        [catalog("cyclic", 30), direct_product(catalog("dihedral", 30), catalog("cyclic", 7)),
+         direct_product(catalog("alternating", 5), catalog("cyclic", 7))],
+        ids=lambda g: g.name,
+    )
+    def test_central_rows_label_no_orbits(self, monkeypatch, group):
+        # a central representative's row is read off the primes alone
+        table = group.element_table()
+        labelled = []
+        original = graph_module._product_orbits
+
+        def recorded(table, rep, R, L):
+            labelled.append(rep)
+            return original(table, rep, R, L)
+
+        monkeypatch.setattr(graph_module, "_product_orbits", recorded)
+        build_graph(table, jobs=1)
+        x = table.elements
+        central = [r for r in table.class_reps if all(x[r] * y == y * x[r] for y in x)]
+        assert len(central) > 1
+        assert labelled == [r for r in table.class_reps if r not in central]
+
+    def test_cyclic_210_build_composes_few_letters(self, count_letters):
+        table = catalog("cyclic", 210).element_table()
+        letters = count_letters(table)
+        build_graph(table, jobs=1)
+        assert len(letters) <= 2 * 210
 
     def test_reduced_matches_naive_at_k4(self):
         table = direct_product(catalog("cyclic", 6), catalog("cyclic", 35)).element_table()
