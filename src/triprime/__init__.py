@@ -5,10 +5,17 @@ arithmetic, stabilizer chains, conjugacy classes, the prime graph on element
 orders, and a verification harness."""
 
 import os
+from importlib import import_module
 
-# numpy's OpenBLAS would start a thread pool that nothing here uses (no
-# matrix products); one thread unless the caller chose otherwise
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# numpy's OpenBLAS starts a thread pool when it loads that nothing here uses
+# (no matrix products). Unless the caller set OPENBLAS_NUM_THREADS, numpy is
+# loaded with it at 1 and the variable is removed again, so subprocesses do
+# not inherit it. OpenBLAS reads it once, so when triprime is imported before
+# numpy, BLAS runs on one thread for the whole process, its importer included.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import_module("numpy")
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .analysis import (
     LemmaOutcome,

@@ -11,7 +11,7 @@ fixed generator sequence. It serves only the exact order named when a group
 over the cap is refused, and two_generated_order, the reference for |<x, y>|.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 from operator import mul
@@ -201,7 +201,6 @@ class ElementTable:
     class_reps: list
     conj_maps: list
     class_trees: list
-    _last: tuple = field(default=(-1, None, None), init=False, repr=False, compare=False)  # mul_maps' last (i, R, L)
 
     def __len__(self):
         return len(self.elements)
@@ -219,19 +218,10 @@ class ElementTable:
 
     def mul_maps(self, i):
         """(R, L): R[j] is the index of elements[j] * elements[i] and L[j]
-        that of elements[i] * elements[j], composed along word(i). When the
-        element of the last call lies on i's parents path, only the letters
-        after it are composed onto its maps."""
-        last, R, L = self._last
-        letters, j = [], i
-        while j != last and j:
-            j, t = self.parents[j]
-            letters.append(t)
-        if j != last:
-            R = L = np.arange(len(self.elements))
-        for t in reversed(letters):
+        that of elements[i] * elements[j], composed along word(i)."""
+        R = L = np.arange(len(self.elements))
+        for t in self.word(i):
             R, L = self.rmul[t][R], L[self.lmul[t]]
-        self._last = i, R, L
         return R, L
 
     def subgroup(self, gens):
@@ -283,7 +273,7 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
     rmul = [[] for _ in group.generators]
     for i, p in enumerate(elements):  # the list is the queue: it grows while it is read
         for t, g in enumerate(group.generators):
-            q = tuple.__new__(Permutation, map(g.__getitem__, p))  # p * g; every element has the degree
+            q = p * g
             j = index_of.get(q)
             if j is None:
                 j = index_of[q] = len(elements)

@@ -189,52 +189,6 @@ class TestIndexLayer:
             assert centralizer_elements(table, subset, i) == expected
 
 
-class TestMulMaps:
-    # mul_maps continues from the maps of its last call when that element
-    # lies on the queried element's parents path
-    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
-    @given(gens=small_subgroups(), data=st.data())
-    def test_query_sequences(self, gens, data):
-        table = PermutationGroup(gens).element_table()
-        elements, index_of = table.elements, table.index_of
-
-        def path(i):  # i and its parents, up to the identity
-            out = [i]
-            while i:
-                i = table.parents[i][0]
-                out.append(i)
-            return out
-
-        last = 0
-        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
-            kind = data.draw(st.sampled_from(["descendant", "ancestor", "any", "repeat", "identity"]))
-            pool = {
-                "descendant": lambda: [i for i in range(len(table)) if last in path(i)],
-                "ancestor": lambda: path(last),
-                "any": lambda: range(len(table)),
-                "repeat": lambda: [last],
-                "identity": lambda: [0],
-            }[kind]()
-            i = data.draw(st.sampled_from(pool))
-            R, L = table.mul_maps(i)
-            R0 = L0 = np.arange(len(table))  # composed along the whole word
-            for t in table.word(i):
-                R0, L0 = table.rmul[t][R0], L0[table.lmul[t]]
-            assert np.array_equal(R, R0) and np.array_equal(L, L0)
-            x = elements[i]
-            assert list(R) == [index_of[p * x] for p in elements]
-            assert list(L) == [index_of[x * p] for p in elements]
-            last = i
-
-    def test_successive_powers_compose_one_letter_each(self, count_letters):
-        # elements[i] of cyclic(210) is g^i, with parent g^(i-1)
-        table = catalog("cyclic", 210).element_table()
-        letters = count_letters(table)
-        for i in range(len(table)):
-            table.mul_maps(i)
-        assert len(letters) == 209
-
-
 class TestContains:
     # membership is a lookup in the element table
     def test_identity_in_any_group(self):
