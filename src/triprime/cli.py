@@ -5,13 +5,14 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 
 import argparse
 import json
+import multiprocessing
 import sys
 from collections import Counter
 from functools import partial
 
 from . import exports
 from .analysis import verify_theorem
-from .graph import DEFAULT_K, build_graph, distance, pool_map
+from .graph import DEFAULT_K, build_graph, distance
 from .groups import (
     OrderCapExceeded,
     catalog,
@@ -85,7 +86,7 @@ def cmd_graph(args):
         raise UsageError(f"unknown format {args.format!r}")
     group = _resolve_group(args)
     table = group.element_table(args.cap)
-    graph = build_graph(table, k=args.k, jobs=args.jobs)
+    graph = build_graph(table, k=args.k)
     _emit(lambda fh: exports.FORMATS[args.format](graph, fh), args.out)
     summary = json.dumps(exports.summary(graph), sort_keys=True) + "\n"
     _emit(lambda fh: fh.write(summary), args.out and args.out + ".summary.json", sys.stderr)
@@ -99,13 +100,24 @@ def cmd_distance(args):
     for label, index in (("x", i), ("y", j)):
         if index is None:
             raise UsageError(f"element {label} = {getattr(args, label)!r} is not in the group")
-    graph = build_graph(table, k=args.k, jobs=args.jobs)
+    graph = build_graph(table, k=args.k)
     if graph.isolated[i] or graph.isolated[j]:
         print("isolated")
         return 0
     d = distance(graph, i, j)
     print("unreachable" if d is None else d)
     return 0
+
+
+def pool_map(fn, items, jobs):
+    """Yield fn(item) for each item, in input order, from min(jobs, len(items))
+    forked worker processes; in-process when that is at most one."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        yield from pool.imap(fn, items)
 
 
 def _verify_one(group, cap):
@@ -159,9 +171,9 @@ _COMMANDS = [
     ("info", cmd_info, "group summary: order, primes, solvability, classes",
      (*_SPEC, "--cap", "--out")),
     ("graph", cmd_graph, "export the graph",
-     (*_SPEC, "--k", "--format", "--cap", "--jobs", "--out")),
+     (*_SPEC, "--k", "--format", "--cap", "--out")),
     ("distance", cmd_distance, "distance between two elements, by cycle notation",
-     (*_SPEC, "x", "y", "--k", "--cap", "--jobs")),
+     (*_SPEC, "x", "y", "--k", "--cap")),
     ("verify", cmd_verify, "run the verification harness",
      (*_SPEC, "--catalog-all", "--cap", "--jobs", "--stable", "--out")),
 ]

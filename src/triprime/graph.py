@@ -14,10 +14,8 @@ from table.subgroup, a closure on the element table's index maps; only the
 per-pair certificates multiply permutations.
 """
 
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -99,27 +97,7 @@ class DiameterResult:
     witness: Optional[Tuple[int, int]] = None
 
 
-def pool_map(fn, items, jobs):
-    """Yield fn(item) for each item of the sequence, in input order.
-
-    The items are spread over one pool of min(jobs, len(items)) forked worker
-    processes, never more workers than items, and run in-process when that is
-    at most one; only the items and results are pickled.
-    """
-    workers = min(jobs, len(items))
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    # setattr runs in each forked worker, which inherits fn without pickling it
-    with multiprocessing.get_context("fork").Pool(workers, setattr, (_in_worker, "fn", fn)) as pool:
-        yield from pool.imap(_in_worker, items)
-
-
-def _in_worker(item):
-    return _in_worker.fn(item)
-
-
-def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
+def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced"):
     """Construct the full adjacency bit-matrix and the isolated-vertex mask.
 
     mode "naive" tests every unordered pair directly; "symmetry_reduced"
@@ -144,7 +122,7 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced", jobs=1):
                         adjacency[i, j] = True
                         adjacency[j, i] = True
         else:
-            builds = _build_reduced(table, k, adjacency, jobs)
+            builds = _build_reduced(table, k, adjacency)
     isolated = ~adjacency.any(axis=1)
     vertices = np.flatnonzero(~isolated)
     return NonFGraph(table=table, k=k, adjacency=adjacency,
@@ -240,15 +218,16 @@ def _normalizer_orbits(table, rep, R, L, label):
         label = merged
 
 
-def _build_reduced(table, k, adjacency, jobs):
+def _build_reduced(table, k, adjacency):
     # classes in order: earlier rows are complete, so the representative's
     # column holds its entries in earlier classes; the row of x^g at
     # position j^g equals the row of x at position j
     primes = prime_factors(len(table.elements))
     prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes])  # (primes, n)
+    class_of = np.asarray(table.class_of)
     builds = 0
-    rows = pool_map(partial(_row, table, k, prime_mask, np.asarray(table.class_of)), table.class_reps, jobs)
-    for rep, tree, (row, b) in zip(table.class_reps, table.class_trees, rows):
+    for rep, tree in zip(table.class_reps, table.class_trees):
+        row, b = _row(table, k, prime_mask, class_of, rep)
         adjacency[rep] = row | adjacency[:, rep]
         for y, x, t in tree:
             adjacency[y, table.conj_maps[t]] = adjacency[x]

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import time
 import pytest
 
 import triprime
-from triprime.cli import build_parser, main
+from triprime.cli import build_parser, main, pool_map
 from triprime.groups import catalog, standard_catalog
 
 
@@ -180,6 +181,22 @@ class TestVerify:
         assert any("error" in r and "exceeds cap 100" in r["error"] for r in records)
 
 
+def test_never_more_workers_than_items(monkeypatch):
+    context = multiprocessing.get_context("fork")
+    real_pool = context.Pool
+    started = []
+
+    def recorder(processes, *args):
+        started.append(processes)
+        return real_pool(min(processes, 2), *args)
+
+    monkeypatch.setattr(context, "Pool", recorder)
+    assert list(pool_map(abs, [-1, -2], 64)) == [1, 2]
+    assert list(pool_map(abs, [-3], 64)) == [3]
+    assert list(pool_map(abs, [], 64)) == []
+    assert started == [2]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -222,8 +239,10 @@ class TestCsv:
         ["verify", "--catalog", "dihedral", "--n", "30", "--jobs", "-1"],
         ["info", "--catalog", "dihedral", "--n", "30", "--cap", "0"],
         ["distance", "--catalog", "dihedral", "--n", "30", "(1,2)", "(1,2)", "--k", "two"],
+        ["graph", "--catalog", "dihedral", "--n", "30", "--jobs", "2"],
+        ["distance", "--catalog", "dihedral", "--n", "30", "(1,2)", "(1,2)", "--jobs", "2"],
     ],
-    ids=["k-zero", "jobs-negative", "cap-zero", "k-not-a-number"],
+    ids=["k-zero", "jobs-negative", "cap-zero", "k-not-a-number", "graph-jobs", "distance-jobs"],
 )
 def test_non_positive_counts_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -384,13 +403,13 @@ _OUT = (("--out",), "out", None, None, None)
         ("graph", [
             *_SPEC_ACTIONS, _K,
             (("--format",), "format", "dot", None, "dot | graphml | csv | json"),
-            _CAP, _JOBS, _OUT,
+            _CAP, _OUT,
         ]),
         ("distance", [
             *_SPEC_ACTIONS,
             ((), "x", None, None, "first element in cycle notation"),
             ((), "y", None, None, "second element in cycle notation"),
-            _K, _CAP, _JOBS,
+            _K, _CAP,
         ]),
         ("verify", [
             *_SPEC_ACTIONS,

@@ -1,8 +1,6 @@
-import multiprocessing
 import random
 import tracemalloc
 from collections import Counter
-from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from triprime.graph import (
     diameter_from_rows,
     distance,
     neighbor_order_profile,
-    pool_map,
     rep_distances,
 )
 from triprime.groups import PermutationGroup, catalog, direct_product, standard_catalog, two_generated_order
@@ -140,10 +137,6 @@ class TestBuildGraph:
         reduced = build_graph(table, mode="symmetry_reduced")
         assert np.array_equal(naive.adjacency, reduced.adjacency)
 
-    def test_parallel_build_matches_serial(self, d30):
-        graph = build_graph(d30.table, jobs=2)
-        assert np.array_equal(graph.adjacency, d30.graph.adjacency)
-
     def test_unknown_mode(self, d30):
         with pytest.raises(ValueError):
             build_graph(d30.table, mode="magic")
@@ -250,47 +243,6 @@ def brute_orbit(table, r, j, normalizer):
                     nxt.append(i)
         frontier = nxt
     return orbit
-
-
-class ReduceCounter:
-    """Counts how often it is pickled."""
-
-    def __init__(self, offset):
-        self.offset = offset
-        self.reduced = 0
-
-    def __reduce__(self):
-        self.reduced += 1
-        return ReduceCounter, (self.offset,)
-
-
-def add_offset(counter, item):
-    return counter.offset + item
-
-
-class TestPoolMap:
-    def test_fn_is_not_pickled(self):
-        # forked workers inherit fn; only the items and results cross the pipe
-        counter = ReduceCounter(10)
-        fn = partial(add_offset, counter)
-        serial = list(pool_map(fn, range(6), 1))
-        assert list(pool_map(fn, range(6), 2)) == serial == list(range(10, 16))
-        assert counter.reduced == 0
-
-    def test_never_more_workers_than_items(self, monkeypatch):
-        context = multiprocessing.get_context("fork")
-        real_pool = context.Pool
-        started = []
-
-        def recorder(processes, *args):
-            started.append(processes)
-            return real_pool(min(processes, 2), *args)
-
-        monkeypatch.setattr(context, "Pool", recorder)
-        assert list(pool_map(abs, [-1, -2], 64)) == [1, 2]
-        assert list(pool_map(abs, [-3], 64)) == [3]
-        assert list(pool_map(abs, [], 64)) == []
-        assert started == [2]
 
 
 @st.composite
@@ -447,7 +399,7 @@ class TestReducedBuild:
             return original(table, rep, R, L)
 
         monkeypatch.setattr(graph_module, "_product_orbits", recorded)
-        build_graph(table, jobs=1)
+        build_graph(table)
         x = table.elements
         central = [r for r in table.class_reps if all(x[r] * y == y * x[r] for y in x)]
         assert len(central) > 1
@@ -456,7 +408,7 @@ class TestReducedBuild:
     def test_cyclic_210_build_composes_few_letters(self, count_letters):
         table = catalog("cyclic", 210).element_table()
         letters = count_letters(table)
-        build_graph(table, jobs=1)
+        build_graph(table)
         assert len(letters) <= 2 * 210
 
     def test_reduced_matches_naive_at_k4(self):
