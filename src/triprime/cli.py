@@ -5,7 +5,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 
 import argparse
 import json
-import multiprocessing
+import os
+import pickle
+import select
+import signal
 import sys
 from collections import Counter
 from functools import partial
@@ -109,15 +112,111 @@ def cmd_distance(args):
     return 0
 
 
-def pool_map(fn, items, jobs):
+def _attempt(fn, item):
+    """(True, fn(item)), or (False, the exception it raised)."""
+    try:
+        return True, fn(item)
+    except Exception as exc:
+        return False, exc
+
+
+def _take(queue):
+    """The next index on the queue pipe, or None once it is empty."""
+    data = os.read(queue, 4)
+    return int.from_bytes(data, "little") if data else None
+
+
+def _serve(fn, items, i, queue, fd):
+    """A child's work: item i, then the queue's items, each sent on fd as a
+    length-prefixed pickle of (index, ok, result or exception)."""
+    while i is not None:
+        data = pickle.dumps((i, *_attempt(fn, items[i])))
+        data = memoryview(len(data).to_bytes(8, "little") + data)
+        while data:
+            data = data[os.write(fd, data):]
+        i = _take(queue)
+
+
+def _receive(fd, children, results):
+    """Read what is waiting on child pipe fd into results; on end of file,
+    close the pipe and reap the child."""
+    pid, buf = children[fd]
+    chunk = os.read(fd, 1 << 16)
+    if not chunk:
+        os.close(fd)
+        os.waitpid(pid, 0)
+        del children[fd]
+        return
+    buf += chunk
+    while len(buf) >= 8 and len(buf) >= 8 + (size := int.from_bytes(buf[:8], "little")):
+        i, ok, value = pickle.loads(buf[8:8 + size])
+        results[i] = ok, value
+        del buf[:8 + size]
+
+
+def pool_map(fn, items, jobs, key=None):
     """Yield fn(item) for each item, in input order, from min(jobs, len(items))
-    forked worker processes; in-process when that is at most one."""
+    processes: this one and forked children; in-process when that is one.
+
+    Items are taken largest key(item) first (input order without a key):
+    each child starts on one of the largest, and then every process takes
+    the rest from a shared pipe of indices. A result is yielded as soon as
+    every earlier one is in, and an exception fn raised is raised at its
+    item's position, as map(fn, items) raises it. Every child is reaped
+    before the generator ends, however it ends.
+    """
     workers = min(jobs, len(items))
     if workers <= 1:
         yield from map(fn, items)
         return
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        yield from pool.imap(fn, items)
+    order = list(range(len(items)))
+    if key is not None:
+        order.sort(key=lambda i: -key(items[i]))
+    queue, feed = os.pipe()
+    os.set_blocking(feed, False)  # the whole queue is written before the fork, or refused
+    rest = b"".join(i.to_bytes(4, "little") for i in order[workers - 1:])
+    fits = not rest or os.write(feed, rest) == len(rest)
+    os.close(feed)
+    children = {}  # result pipe -> (child pid, bytes not yet unpickled)
+    results = {}  # index -> (ok, result or exception)
+    try:
+        if not fits:
+            raise ValueError(f"{len(items)} items do not fit one queue pipe")
+        for first in order[:workers - 1]:
+            fd, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: it leaves only through os._exit
+                try:
+                    os.close(fd)
+                    _serve(fn, items, first, queue, out)
+                finally:
+                    os._exit(0)
+            os.close(out)
+            children[fd] = pid, bytearray()
+        mine = _take(queue)
+        for position in range(len(items)):
+            while position not in results:
+                timeout = None
+                if mine is not None:
+                    results[mine] = _attempt(fn, items[mine])
+                    mine, timeout = _take(queue), 0
+                elif not children:
+                    raise RuntimeError(f"a worker process exited with no result for item {position}")
+                ready, _, _ = select.select(list(children), [], [], timeout)
+                for fd in ready:
+                    _receive(fd, children, results)
+            ok, value = results.pop(position)
+            if not ok:
+                raise value
+            yield value
+        while children:
+            _receive(next(iter(children)), children, results)
+    finally:
+        os.close(queue)
+        for fd, (pid, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
 
 
 def _verify_one(group, cap):
@@ -139,7 +238,8 @@ def cmd_verify(args):
 
     def write(fh):
         all_ok = True
-        for record, ok in pool_map(partial(_verify_one, cap=args.cap), groups, args.jobs):
+        verify = partial(_verify_one, cap=args.cap)
+        for record, ok in pool_map(verify, groups, args.jobs, key=lambda g: g.known_order or 0):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
             fh.flush()
             all_ok &= ok
@@ -207,5 +307,19 @@ def main(argv=None):
         return 2
 
 
+def run():
+    """The console entry point: main(), then, once stdout and stderr are
+    flushed, exit at once with its code, with no interpreter teardown. An
+    uncaught exception still ends in a normal traceback."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

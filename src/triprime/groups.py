@@ -8,12 +8,13 @@ enforces the element cap. The stabilizer chain is the deterministic
 incremental Schreier-Sims, with the smallest moved point as each base point
 and orbits extended breadth-first in generator order, reproducible for a
 fixed generator sequence. It serves only the exact order named when a group
-over the cap is refused, and two_generated_order, the reference for |<x, y>|.
+file over the cap is refused, and two_generated_order, the reference for
+|<x, y>|. A catalog group knows its order from a closed formula.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
+from math import factorial, prod
 from operator import mul
 
 import numpy as np
@@ -134,9 +135,13 @@ def two_generated_order(x, y):
 
 
 class PermutationGroup:
-    """A finite permutation group given by generators; chain built lazily."""
+    """A finite permutation group given by generators; chain built lazily.
 
-    def __init__(self, generators, degree=None, name=None):
+    known_order is the order a catalog builder knows by construction, or
+    None; order() is always the chain's.
+    """
+
+    def __init__(self, generators, degree=None, name=None, known_order=None):
         generators = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
         if degree is None:
             if not generators:
@@ -150,6 +155,7 @@ class PermutationGroup:
         self.degree = degree
         self.generators = generators
         self.name = name
+        self.known_order = known_order
         self._chain = None
         self._table = None
 
@@ -263,9 +269,15 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
 
     Enumeration is breadth-first closure of the generators under right
     multiplication, independent of the stabilizer chain (the two orders are
-    cross-checked in the test suite). Once the listing holds more than cap
-    elements, the identity counted, it raises OrderCapExceeded with the exact order.
+    cross-checked in the test suite). A group whose known_order exceeds cap
+    is refused before anything is listed; otherwise, once the listing holds
+    more than cap elements, the identity counted, it raises OrderCapExceeded
+    with the chain's exact order. A complete listing whose length differs
+    from a known_order raises ValueError.
     """
+    known = group.known_order
+    if known is not None and known > cap:
+        raise OrderCapExceeded(known, cap)
     e = identity(group.degree)
     elements = [e]
     index_of = {e: 0}
@@ -282,6 +294,8 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
             rmul[t].append(j)
         if len(elements) > cap:
             raise OrderCapExceeded(group.order(), cap)
+    if known is not None and len(elements) != known:
+        raise ValueError(f"{group.name}: {len(elements)} elements listed, known order {known}")
     # g * (p * s) = (g * p) * s and (p * s)^-1 = s^-1 * p^-1, parents first
     lmul = [[m[0]] * len(elements) for m in rmul]
     for i, (p, s) in enumerate(parents[1:], 1):
@@ -422,14 +436,15 @@ def _beside(a, b):
 def _cyclic(n):
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
-    return PermutationGroup([_affine(n, [[1]], [1])], name=f"cyclic({n})")
+    return PermutationGroup([_affine(n, [[1]], [1])], name=f"cyclic({n})", known_order=n)
 
 
 def _dihedral(order):
     if order < 6 or order % 2:
         raise ValueError("dihedral group needs an even order >= 6")
     m = order // 2
-    return PermutationGroup([_affine(m, [[1]], [1]), _affine(m, [[-1]])], name=f"dihedral({order})")
+    gens = [_affine(m, [[1]], [1]), _affine(m, [[-1]])]
+    return PermutationGroup(gens, name=f"dihedral({order})", known_order=order)
 
 
 def _symmetric(n):
@@ -437,25 +452,26 @@ def _symmetric(n):
         raise ValueError("symmetric group needs n >= 1")
     cycle = _affine(n, [[1]], [1])
     if n == 1:
-        return PermutationGroup([cycle], name="symmetric(1)")
+        return PermutationGroup([cycle], name="symmetric(1)", known_order=1)
     swap = Permutation([1, 0] + list(range(2, n)))
-    return PermutationGroup([swap, cycle], name=f"symmetric({n})")
+    return PermutationGroup([swap, cycle], name=f"symmetric({n})", known_order=factorial(n))
 
 
 def _alternating(n):
     if n < 1:
         raise ValueError("alternating group needs n >= 1")
     if n < 3:
-        return PermutationGroup([identity(n)], name=f"alternating({n})")
+        return PermutationGroup([identity(n)], name=f"alternating({n})", known_order=1)
     # an n-cycle for odd n; for even n, an (n-1)-cycle fixing point 0
     cycle = _affine(n, [[1]], [1]) if n % 2 else _beside(identity(1), _affine(n - 1, [[1]], [1]))
     three = Permutation([1, 2, 0] + list(range(3, n)))
-    return PermutationGroup([three, cycle], name=f"alternating({n})")
+    return PermutationGroup([three, cycle], name=f"alternating({n})", known_order=factorial(n) // 2)
 
 
 def _frobenius21():
     # C7 : C3, the affine maps x -> ax + b on F7 with a in {1, 2, 4}
-    return PermutationGroup([_affine(7, [[1]], [1]), _affine(7, [[2]])], name="frobenius21")
+    gens = [_affine(7, [[1]], [1]), _affine(7, [[2]])]
+    return PermutationGroup(gens, name="frobenius21", known_order=21)
 
 
 def _psl27():
@@ -463,7 +479,7 @@ def _psl27():
     transvection = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
     rotate = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     gens = [_affine(2, m, nonzero=True) for m in (transvection, rotate)]
-    return PermutationGroup(gens, name="psl27")
+    return PermutationGroup(gens, name="psl27", known_order=168)
 
 
 # SL(2, 3) is generated by an order-4 and an order-3 matrix
@@ -472,7 +488,8 @@ _SL23 = ([[0, 2], [1, 0]], [[1, 1], [0, 1]])
 
 def _sl23():
     # SL(2, 3) acting on the 8 nonzero vectors of F_3^2
-    return PermutationGroup([_affine(3, m, nonzero=True) for m in _SL23], name="sl23")
+    gens = [_affine(3, m, nonzero=True) for m in _SL23]
+    return PermutationGroup(gens, name="sl23", known_order=24)
 
 
 def _sl23_example():
@@ -492,7 +509,7 @@ def _sl23_example():
         _beside(_affine(3, s), line),  # order-4 matrix, trivial on the line
         _beside(_affine(3, t), _affine(7, [[2]])),  # order-3 matrix, doubling on the line
     ]
-    return PermutationGroup(gens, name="sl23_example")
+    return PermutationGroup(gens, name="sl23_example", known_order=1512)
 
 
 def direct_product(g, h):
@@ -500,7 +517,9 @@ def direct_product(g, h):
     n, m = g.degree, h.degree
     gens = [_beside(a, identity(m)) for a in g.generators]
     gens += [_beside(identity(n), b) for b in h.generators]
-    return PermutationGroup(gens, degree=n + m, name=f"{g.name or 'G'} x {h.name or 'H'}")
+    known = None if None in (g.known_order, h.known_order) else g.known_order * h.known_order
+    name = f"{g.name or 'G'} x {h.name or 'H'}"
+    return PermutationGroup(gens, degree=n + m, name=name, known_order=known)
 
 
 _PARAMETRIC = {

@@ -3,7 +3,6 @@ import csv
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -53,13 +52,16 @@ class TestInfo:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_refusal_names_the_order_quickly(self, capsys):
+    def test_refusal_names_the_order_quickly(self, capsys, count_chains):
+        # a catalog group knows its order: it is refused before anything is listed
+        built = count_chains()
         start = time.perf_counter()
-        code, out, err = run(capsys, "info", "--catalog", "symmetric", "--n", "50")
-        assert time.perf_counter() - start < 30
+        code, out, err = run(capsys, "info", "--catalog", "symmetric", "--n", "150")
+        assert time.perf_counter() - start < 5
         assert code == 2
         assert out == ""
-        assert err == f"error: group order {math.factorial(50)} exceeds cap 20000; raise the cap to proceed\n"
+        assert err == f"error: group order {math.factorial(150)} exceeds cap 20000; raise the cap to proceed\n"
+        assert built == []
 
     def test_requires_exactly_one_spec(self, capsys):
         code, _, err = run(capsys, "info")
@@ -181,20 +183,67 @@ class TestVerify:
         assert any("error" in r and "exceeds cap 100" in r["error"] for r in records)
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_never_more_workers_than_items(monkeypatch):
-    context = multiprocessing.get_context("fork")
-    real_pool = context.Pool
-    started = []
+    # the calling process is one of the workers: it forks one child fewer
+    real_fork = os.fork
+    forks = []
 
-    def recorder(processes, *args):
-        started.append(processes)
-        return real_pool(min(processes, 2), *args)
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
 
-    monkeypatch.setattr(context, "Pool", recorder)
+    monkeypatch.setattr(os, "fork", counted_fork)
     assert list(pool_map(abs, [-1, -2], 64)) == [1, 2]
+    assert len(forks) == 1
     assert list(pool_map(abs, [-3], 64)) == [3]
     assert list(pool_map(abs, [], 64)) == []
-    assert started == [2]
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def _tenfold_but_three(x):
+    if x == 3:
+        raise ArithmeticError(f"no tenfold of {x}")
+    return 10 * x
+
+
+@pytest.mark.parametrize("key", [None, lambda x: x == 3], ids=["input-order", "child-first"])
+def test_error_raised_at_its_position(key):
+    # as map() raises it: same type and message, after the same earlier results
+    outcomes = []
+    for jobs in (1, 2):
+        got = []
+        with pytest.raises(ArithmeticError) as exc:
+            for value in pool_map(_tenfold_but_three, [1, 2, 3, 4, 5], jobs, key=key):
+                got.append(value)
+        outcomes.append((type(exc.value), str(exc.value), got))
+    assert outcomes[0] == outcomes[1] == (ArithmeticError, "no tenfold of 3", [10, 20])
+    _assert_no_child_left()
+
+
+def test_closing_early_leaves_no_child():
+    # the child sleeps on the largest item; closing after the first result reaps it
+    start = time.perf_counter()
+    results = pool_map(lambda x: time.sleep(x) or x, [0, 30], 2, key=lambda x: x)
+    assert next(results) == 0
+    results.close()
+    _assert_no_child_left()
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "3", "16"])
+def test_verify_digest_at_every_jobs_count(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--catalog-all", "--stable", "--jobs", jobs)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "d7cd81d43ca7b60f32ec9b36870715cf52617477fc2b9916ef977bfd4da957e6"
+    )
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -307,6 +356,44 @@ def test_conflicting_selectors_rejected(capsys, tmp_path, argv, reason):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert reason in err
+
+
+def _cli(*argv, **kwargs):
+    """A `python -m triprime.cli` process in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(triprime.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen([sys.executable, "-m", "triprime.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_entry_point_exits_with_complete_output():
+    # the process ends without interpreter teardown, once its output is flushed
+    argv = ["graph", "--catalog", "alternating", "--n", "7", "--k", "2", "--format", "graphml"]
+    with _cli(*argv) as proc:
+        digest = hashlib.sha256()
+        while chunk := proc.stdout.read(1 << 20):
+            digest.update(chunk)
+        err = proc.stderr.read()
+    assert proc.returncode == 0
+    assert digest.hexdigest() == "46d3d9b5626b4f2b692719f9956a478915ea10e9d40a155cec49428f46282352"
+    assert json.loads(err)["edge_count"] == 3162075
+
+
+def test_entry_point_reports_one_error_line():
+    with _cli("graph", "--catalog", "dihedral", "--n", "30", "--k", "0") as proc:
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (2, b"")
+    assert err == b"error: argument --k: expected a positive integer, got '0'\n"
+
+
+def test_entry_point_on_a_closed_pipe():
+    # as `graph ... | head -c 10`: exit 2 and one error line
+    with _cli("graph", "--catalog", "dihedral", "--n", "210", "--k", "2", "--format", "graphml") as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 2
+    assert err == b"error: [Errno 32] Broken pipe\n"
 
 
 def test_cli_import_skips_urllib():

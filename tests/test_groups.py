@@ -226,10 +226,17 @@ class TestEnumeration:
         assert len(enumerate_elements(catalog("symmetric", 4), cap=24).elements) == 24
 
     @pytest.mark.parametrize(
-        "group, cap", [(catalog("symmetric", 4), 23), (PermutationGroup([], degree=3), 0)], ids=["s4", "trivial"]
+        "group, cap",
+        [
+            (catalog("symmetric", 4), 23),
+            (PermutationGroup([], degree=3), 0),
+            (PermutationGroup(catalog("symmetric", 4).generators), 23),
+        ],
+        ids=["s4", "trivial", "s4-chain"],
     )
     def test_cap_one_below_order(self, group, cap):
-        # the trivial group finds no new element: only the identity exceeds cap 0
+        # the trivial group finds no new element: only the identity exceeds cap 0;
+        # with no known order, the chain names the order
         with pytest.raises(OrderCapExceeded) as exc:
             enumerate_elements(group, cap=cap)
         assert exc.value.order == cap + 1
@@ -558,17 +565,41 @@ class TestAffineEncoder:
         assert _beside(a, b) * _beside(a, b) == _beside(a * a, b * b)
 
 
-def test_catalog_generators_are_pinned():
-    # every chain, table, label and output depends on these tuples and their order
+def _catalog_sample():
+    """The standard catalog, with its three direct products, and 70 more catalog groups."""
     sample = standard_catalog()
     for name in ("cyclic", "symmetric", "alternating"):
         sample += [catalog(name, k) for k in range(1, 12)]
     sample += [catalog("dihedral", 2 * m) for m in range(3, 40)]
+    return sample
+
+
+def test_catalog_generators_are_pinned():
+    # every chain, table, label and output depends on these tuples and their order
+    sample = _catalog_sample()
     assert len(sample) == 86
     listing = repr([(g.name, g.degree, [tuple(x) for x in g.generators]) for g in sample])
     assert hashlib.sha256(listing.encode()).hexdigest() == (
         "09dc2a38236570547cc259dc07a518b8f43c77a350909d3577d7f7a42bd5cf14"
     )
+
+
+def test_known_orders_match_chains_and_tables():
+    # the catalog's closed formulas against the chain and, within the cap, the listing
+    for g in _catalog_sample():
+        assert g.known_order == g.order(), g.name
+        if g.known_order <= 20_000:
+            assert len(enumerate_elements(g, cap=20_000)) == g.known_order, g.name
+
+
+def test_wrong_known_order_raises():
+    d30 = catalog("dihedral", 30)
+    with pytest.raises(ValueError, match=r"^dihedral\(30\): 30 elements listed, known order 29$"):
+        enumerate_elements(PermutationGroup(d30.generators, name=d30.name, known_order=29))
+
+
+def test_group_files_know_no_order():
+    assert parse_group_text("degree: 5\ngen: (1,2)\ngen: (1,2,3,4,5)\n").known_order is None
 
 
 class TestGroupFiles:
