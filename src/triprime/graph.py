@@ -153,10 +153,10 @@ def _row(table, k, prime_mask, class_of, rep):
     else:
         R, L = table.mul_maps(rep)
         commuting = R == L
-        label = _product_orbits(table, rep, R, L)
+        label = _orbit_labels(np.arange(len(R)), [R, L, table.inv])
         hit, undecided = _open_orbits(label, reach, own, commuting)
         if undecided.any():
-            label = _normalizer_orbits(table, rep, R, L, label)
+            label = _orbit_labels(label, _normalizer_conjugations(table, rep, R, L))
             hit, undecided = _open_orbits(label, reach, own, commuting)
         for m in np.flatnonzero(undecided):
             hit[m], b = _adjacent_counted(table, rep, int(m), k)
@@ -166,16 +166,23 @@ def _row(table, k, prime_mask, class_of, rep):
     return row, builds
 
 
-def _product_orbits(table, rep, R, L):
-    """Labels of the orbits of j -> r*j, j*r, j^-1, each its least index."""
-    # min-label propagation along R^(2^s) and L^(2^s): after s rounds
-    # label[j] is the least index of r^a * j * r^b, 0 <= a, b < 2^s
-    label = np.arange(len(R))
-    for _ in range((table.order_of[rep] - 1).bit_length()):
-        label = np.minimum(label, label[R])
-        label = np.minimum(label, label[L])
-        R, L = R[R], L[L]
-    return np.minimum(label, label[table.inv])
+def _orbit_labels(label, maps):
+    """Each label lowered to the least index of its orbit under the index maps.
+
+    label holds the least index of each class of a partition that the maps
+    permute, as np.arange(n) does; an orbit is a union of such classes.
+    Min-label propagation along the maps and pointer jumping (label[j] lies
+    in j's orbit, so label[label] is a valid jump) run until nothing changes:
+    the standard orbit computation (Holt, Eick & O'Brien, Handbook, 4.1).
+    """
+    while True:
+        merged = label
+        for M in maps:
+            merged = np.minimum(merged, merged[M])
+        merged = merged[merged]
+        if np.array_equal(merged, label):
+            return label
+        label = merged
 
 
 def _open_orbits(label, reach, own, commuting):
@@ -190,32 +197,21 @@ def _open_orbits(label, reach, own, commuting):
     return hit, undecided
 
 
-def _normalizer_orbits(table, rep, R, L, label):
-    """The orbit labels merged under conjugation by N_G(<r>), each the least
-    index of its merged orbit.
+def _normalizer_conjugations(table, rep, R, L):
+    """The conjugations j -> g^-1 * j * g by greedy generators g of N_G(<r>).
 
     N_G(<r>) holds the g with g^-1 * r * g a power r^m, that is with
     r * g = g * r^m: L == R^m on the maps of r. Its generators are those of
-    table.span. Conjugation by them maps orbits of r*j, j*r and j^-1 onto
-    orbits, so label stays constant on those.
+    table.span. Conjugation by them permutes the orbits of r*j, j*r and j^-1.
     """
-    normalizer = np.zeros(len(label), dtype=bool)
+    normalizer = np.zeros(len(R), dtype=bool)
     power = R
     for _ in range(table.order_of[rep] - 1):  # m = 1 .. |r| - 1
         normalizer |= L == power
         power = R[power]
     chosen, _ = table.span(normalizer)
     # right[L^-1]: j -> g^-1 * j * g
-    conjugations = [right[np.argsort(left)] for right, left in map(table.mul_maps, chosen)]
-    # label[j] <= j lies in j's merged orbit, so label[label] is a valid jump
-    while True:
-        merged = label
-        for C in conjugations:
-            merged = np.minimum(merged, merged[C])
-        merged = merged[merged]
-        if np.array_equal(merged, label):
-            return label
-        label = merged
+    return [right[np.argsort(left)] for right, left in map(table.mul_maps, chosen)]
 
 
 def _build_reduced(table, k, adjacency):

@@ -38,6 +38,10 @@ class TestPrimeFactors:
         assert is_squarefree(105)
         assert not is_squarefree(12)
 
+    def test_squarefree_zero_rejected(self):
+        with pytest.raises(ValueError, match="is_squarefree requires n >= 1, got 0"):
+            is_squarefree(0)
+
 
 class TestSigma:
     def test_p_group_empty(self):

@@ -52,6 +52,33 @@ class TestInfo:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("degree: 5\nbogus\n", "{path}:2: expected 'degree:' or 'gen:' line"),
+            ("degree: 5\ndegree: 5\n", "{path}:2: duplicate degree line"),
+            ("degree: five\n", "{path}:1: bad degree 'five'"),
+            ("degree: 5\ncolour: red\n", "{path}:2: unknown key 'colour'"),
+            ("# comment only\n", "{path}: missing 'degree:' line"),
+            ("degree: 5\n", "{path}: no generators"),
+            (("cyclic", "0"), "cyclic group needs n >= 1"),
+            (("symmetric", "0"), "symmetric group needs n >= 1"),
+        ],
+        ids=["no-key", "duplicate-degree", "bad-degree", "unknown-key", "no-degree", "no-gen",
+             "cyclic-0", "symmetric-0"],
+    )
+    def test_bad_input_is_one_error_line(self, capsys, tmp_path, source, message):
+        # source is a group file's text, or a catalog (name, n)
+        path = tmp_path / "bad.grp"
+        if isinstance(source, str):
+            path.write_text(source)
+            argv = ["--file", str(path)]
+        else:
+            argv = ["--catalog", source[0], "--n", source[1]]
+        code, out, err = run(capsys, "info", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message.format(path=path)}\n"
+
     def test_refusal_names_the_order_quickly(self, capsys, count_chains):
         # a catalog group knows its order: it is refused before anything is listed
         built = count_chains()
@@ -223,6 +250,23 @@ def test_error_raised_at_its_position(key):
                 got.append(value)
         outcomes.append((type(exc.value), str(exc.value), got))
     assert outcomes[0] == outcomes[1] == (ArithmeticError, "no tenfold of 3", [10, 20])
+    _assert_no_child_left()
+
+
+def test_lost_child_is_raised_at_its_position():
+    # the child starts on the largest item and exits with no result for it
+    parent = os.getpid()
+
+    def tenfold_or_exit(x):
+        if x == 9 and os.getpid() != parent:
+            os._exit(1)
+        return 10 * x
+
+    got = []
+    with pytest.raises(RuntimeError, match=r"^a worker process exited with no result for item 2$"):
+        for value in pool_map(tenfold_or_exit, [1, 2, 9, 4, 5], 2, key=lambda x: x):
+            got.append(value)
+    assert got == [10, 20]
     _assert_no_child_left()
 
 

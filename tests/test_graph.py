@@ -348,8 +348,8 @@ class TestReducedBuild:
         table = group.element_table()
         for r in table.class_reps:
             R, L = table.mul_maps(r)
-            label = graph_module._product_orbits(table, r, R, L)
-            label = graph_module._normalizer_orbits(table, r, R, L, label)
+            label = graph_module._orbit_labels(np.arange(len(table)), [R, L, table.inv])
+            label = graph_module._orbit_labels(label, graph_module._normalizer_conjugations(table, r, R, L))
             assert (label <= np.arange(len(table))).all()
             assert np.array_equal(label[label], label)
             x = table.elements[r]
@@ -392,13 +392,14 @@ class TestReducedBuild:
         # a central representative's row is read off the primes alone
         table = group.element_table()
         labelled = []
-        original = graph_module._product_orbits
+        original = graph_module._orbit_labels
 
-        def recorded(table, rep, R, L):
-            labelled.append(rep)
-            return original(table, rep, R, L)
+        def recorded(label, maps):
+            if maps[-1] is table.inv:  # the product orbits: R sends the identity, index 0, to r
+                labelled.append(int(maps[0][0]))
+            return original(label, maps)
 
-        monkeypatch.setattr(graph_module, "_product_orbits", recorded)
+        monkeypatch.setattr(graph_module, "_orbit_labels", recorded)
         build_graph(table)
         x = table.elements
         central = [r for r in table.class_reps if all(x[r] * y == y * x[r] for y in x)]
@@ -417,6 +418,48 @@ class TestReducedBuild:
         naive = build_graph(table, k=4, mode="naive")
         assert np.array_equal(reduced.adjacency, naive.adjacency)
         assert reduced.adjacency.any()
+
+
+def brute_orbit_labels(maps, n):
+    # plain BFS over the maps from each index not yet reached, in index
+    # order, so every orbit is labelled by its least index
+    label = [-1] * n
+    for s in range(n):
+        if label[s] < 0:
+            label[s] = s
+            frontier = [s]
+            while frontier:
+                j = frontier.pop()
+                for M in maps:
+                    if label[M[j]] < 0:
+                        label[M[j]] = s
+                        frontier.append(M[j])
+    return label
+
+
+def check_orbit_labels(table):
+    # both uses in _row: the orbits of j -> j*r, r*j, j^-1, then those merged
+    # under the normalizer's conjugations, against a BFS over all the maps
+    n = len(table)
+    for r in table.class_reps:
+        R, L = table.mul_maps(r)
+        label = graph_module._orbit_labels(np.arange(n), [R, L, table.inv])
+        products = [R.tolist(), L.tolist(), table.inv.tolist()]
+        assert label.tolist() == brute_orbit_labels(products, n)
+        conjugations = graph_module._normalizer_conjugations(table, r, R, L)
+        merged = graph_module._orbit_labels(label, conjugations)
+        assert merged.tolist() == brute_orbit_labels(products + [C.tolist() for C in conjugations], n)
+
+
+class TestOrbitLabels:
+    @pytest.mark.parametrize("group", standard_catalog(), ids=lambda g: g.name)
+    def test_catalog_matches_bfs(self, group):
+        check_orbit_labels(group.element_table())
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(group=small_groups())
+    def test_random_groups_match_bfs(self, group):
+        check_orbit_labels(group.element_table())
 
 
 class TestReducedAgainstNaive:

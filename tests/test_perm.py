@@ -53,6 +53,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="exceeds the supported maximum"):
             parse_cycles("()", 5000)
 
+    def test_point_past_the_degree(self):
+        with pytest.raises(ValueError, match="point 6 out of range for degree 3"):
+            from_cycles([(0, 5)], 3)
+
     @pytest.mark.parametrize("text", ["()", "(1,2)"])
     def test_parsed_over_the_bound_allocates_nothing(self, text):
         # refused before any degree-sized list is built
@@ -102,6 +106,13 @@ class TestCompose:
             p = random_perm(rng, 10)
             assert (p * p.inverse()).is_identity()
             assert (p.inverse() * p).is_identity()
+
+    def test_negative_power(self):
+        rng = random.Random(10)
+        for _ in range(20):
+            x = random_perm(rng, 10)
+            assert x ** -1 == x.inverse()
+            assert x ** -2 == (x ** 2).inverse()
 
 
 class TestOrder:
