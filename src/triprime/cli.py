@@ -162,7 +162,8 @@ def pool_map(fn, items, jobs, key=None):
     each child starts on one of the largest, and then every process takes
     the rest from a shared pipe of indices. A result is yielded as soon as
     every earlier one is in, and an exception fn raised is raised at its
-    item's position, as map(fn, items) raises it. Every child is reaped
+    item's position, as map(fn, items) raises it; so is ChildProcessError
+    for an item whose child exited with no result. Every child is reaped
     before the generator ends, however it ends.
     """
     workers = min(jobs, len(items))
@@ -201,7 +202,7 @@ def pool_map(fn, items, jobs, key=None):
                     results[mine] = _attempt(fn, items[mine])
                     mine, timeout = _take(queue), 0
                 elif not children:
-                    raise RuntimeError(f"a worker process exited with no result for item {position}")
+                    raise ChildProcessError(f"a worker process exited with no result for item {position}")
                 ready, _, _ = select.select(list(children), [], [], timeout)
                 for fd in ready:
                     _receive(fd, children, results)

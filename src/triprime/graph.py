@@ -101,11 +101,11 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced"):
     """Construct the full adjacency bit-matrix and the isolated-vertex mask.
 
     mode "naive" tests every unordered pair directly; "symmetry_reduced"
-    decides each pair of conjugacy classes once, at a class representative r,
-    with one test per orbit of j -> r*j, j*r, j^-1 and conjugation by
-    N_G(<r>) in its row, and transports the row along the class tree. Both
-    produce identical matrices, and both compute the order of <x, y> only for
-    pairs that no cheap certificate decides.
+    decides the row of each class representative r in full, with one test
+    per orbit of j -> r*j, j*r, j^-1 and conjugation by N_G(<r>), and
+    transports the row along the class tree. Both produce identical
+    matrices, and both compute the order of <x, y> only for pairs that no
+    cheap certificate decides.
     """
     if mode not in ("naive", "symmetry_reduced"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -129,9 +129,9 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced"):
                      isolated=isolated, vertices=vertices, chain_builds=builds)
 
 
-def _row(table, k, prime_mask, class_of, rep):
-    """Adjacency entries of one class representative in its own and later
-    classes, with its count of exact subgroup orders; the rest stay False.
+def _row(table, k, prime_mask, rep):
+    """The adjacency row of one class representative r, over every element,
+    with its count of exact subgroup orders.
 
     <r, j> is the same subgroup for every j in one orbit of j -> r*j,
     j -> j*r and j -> j^-1, so the row is constant on these orbits. An orbit
@@ -142,26 +142,25 @@ def _row(table, k, prime_mask, class_of, rep):
     When some orbit is left open, the orbits are merged further under
     conjugation by N_G(<r>): for g there, <r, j^g> = <r, j>^g has the order
     of <r, j>, and conjugation by g keeps classes, prime sets and commuting
-    with r, since r^g generates <r>. Every merged orbit still open that meets
-    the own or later classes is decided once, at its least index.
+    with r, since r^g generates <r>. Every merged orbit still open is decided
+    once, at its least index.
     """
     reach = (prime_mask | prime_mask[:, rep, None]).sum(axis=0) >= k
-    own = class_of >= class_of[rep]
     builds = 0
-    if not table.class_trees[class_of[rep]]:  # r is central
-        row = reach & own
+    if not table.class_trees[table.class_of[rep]]:  # r is central
+        row = reach
     else:
         R, L = table.mul_maps(rep)
         commuting = R == L
         label = _orbit_labels(np.arange(len(R)), [R, L, table.inv])
-        hit, undecided = _open_orbits(label, reach, own, commuting)
+        hit, undecided = _open_orbits(label, reach, commuting)
         if undecided.any():
             label = _orbit_labels(label, _normalizer_conjugations(table, rep, R, L))
-            hit, undecided = _open_orbits(label, reach, own, commuting)
+            hit, undecided = _open_orbits(label, reach, commuting)
         for m in np.flatnonzero(undecided):
             hit[m], b = _adjacent_counted(table, rep, int(m), k)
             builds += b
-        row = hit[label] & own
+        row = hit[label]
     row[rep] = False
     return row, builds
 
@@ -185,16 +184,14 @@ def _orbit_labels(label, maps):
         label = merged
 
 
-def _open_orbits(label, reach, own, commuting):
+def _open_orbits(label, reach, commuting):
     """(hit, undecided), both indexed by orbit label: hit where a member's
-    primes and r's reach k, undecided for the other orbits that meet the own
-    or later classes and do not commute with r."""
+    primes and r's reach k, undecided at the other labels whose orbits do
+    not commute with r."""
     hit = np.zeros(len(label), dtype=bool)
     hit[label[reach]] = True
-    undecided = np.zeros(len(label), dtype=bool)
-    undecided[label[own]] = True
-    undecided &= ~(hit | commuting)  # an orbit commutes with r in all members or in none
-    return hit, undecided
+    # an orbit commutes with r in all members or in none
+    return hit, (label == np.arange(len(label))) & ~(hit | commuting)
 
 
 def _normalizer_conjugations(table, rep, R, L):
@@ -215,16 +212,12 @@ def _normalizer_conjugations(table, rep, R, L):
 
 
 def _build_reduced(table, k, adjacency):
-    # classes in order: earlier rows are complete, so the representative's
-    # column holds its entries in earlier classes; the row of x^g at
-    # position j^g equals the row of x at position j
+    # the row of x^g at position j^g equals the row of x at position j
     primes = prime_factors(len(table.elements))
     prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes])  # (primes, n)
-    class_of = np.asarray(table.class_of)
     builds = 0
     for rep, tree in zip(table.class_reps, table.class_trees):
-        row, b = _row(table, k, prime_mask, class_of, rep)
-        adjacency[rep] = row | adjacency[:, rep]
+        adjacency[rep], b = _row(table, k, prime_mask, rep)
         for y, x, t in tree:
             adjacency[y, table.conj_maps[t]] = adjacency[x]
         builds += b

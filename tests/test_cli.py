@@ -11,6 +11,7 @@ import time
 import pytest
 
 import triprime
+from triprime import cli
 from triprime.cli import build_parser, main, pool_map
 from triprime.groups import catalog, standard_catalog
 
@@ -263,10 +264,30 @@ def test_lost_child_is_raised_at_its_position():
         return 10 * x
 
     got = []
-    with pytest.raises(RuntimeError, match=r"^a worker process exited with no result for item 2$"):
+    with pytest.raises(ChildProcessError, match=r"^a worker process exited with no result for item 2$"):
         for value in pool_map(tenfold_or_exit, [1, 2, 9, 4, 5], 2, key=lambda x: x):
             got.append(value)
     assert got == [10, 20]
+    _assert_no_child_left()
+
+
+def test_lost_child_in_verify_is_one_error_line(capsys, monkeypatch):
+    # the child starts on sl23_example, the largest and last catalog group,
+    # and exits with no result: the earlier records stand, then exit 2
+    _, serial, _ = run(capsys, "verify", "--catalog-all", "--stable")
+    parent = os.getpid()
+    verify_one = cli._verify_one
+
+    def exit_on_sl23_example(group, cap):
+        if group.name == "sl23_example" and os.getpid() != parent:
+            os._exit(1)
+        return verify_one(group, cap)
+
+    monkeypatch.setattr(cli, "_verify_one", exit_on_sl23_example)
+    code, out, err = run(capsys, "verify", "--catalog-all", "--stable", "--jobs", "2")
+    assert code == 2
+    assert err == "error: a worker process exited with no result for item 15\n"
+    assert out.splitlines() == serial.splitlines()[:15]
     _assert_no_child_left()
 
 

@@ -307,13 +307,12 @@ class TestBfsLevels:
 
 class TestReducedBuild:
     @pytest.mark.parametrize(
-        "name, n, total", [("dihedral", 30, 3), ("symmetric", 5, 23), ("psl27", None, 25)]
+        "name, n, total", [("dihedral", 30, 6), ("symmetric", 5, 35), ("psl27", None, 31)]
     )
     def test_one_call_per_undecided_orbit(self, monkeypatch, name, n, total):
         # a representative decides each orbit of j -> r*j, j*r, j^-1 and
-        # conjugation by N_G(<r>) that meets its own or later classes, that
-        # the primes of r and j leave open and whose members do not commute
-        # with r, once, at the orbit's least index
+        # conjugation by N_G(<r>) that the primes of r and j leave open and
+        # whose members do not commute with r, once, at the orbit's least index
         table = catalog(name, n).element_table()
         calls = Counter()
         original = graph_module._adjacent_counted
@@ -334,10 +333,9 @@ class TestReducedBuild:
                     continue
                 orbit = brute_orbit(table, r, j, normalizer)
                 seen |= orbit
-                own = any(table.class_of[m] >= table.class_of[r] for m in orbit)
                 open_ = all(len(table.primes_of[r] | table.primes_of[m]) < 3 for m in orbit)
                 commutes = all(x * table.elements[m] == table.elements[m] * x for m in orbit)
-                if own and open_ and not commutes:
+                if open_ and not commutes:
                     expected[r, min(orbit)] += 1
         assert calls == expected
         assert sum(calls.values()) == total
@@ -360,8 +358,8 @@ class TestReducedBuild:
 
     def test_exact_orders_pinned(self, sl23x):
         # one exact subgroup order per merged orbit that no certificate decides
-        assert sum(build_graph(g.element_table()).chain_builds for g in standard_catalog()) == 156
-        assert sl23x.graph.chain_builds == 93
+        assert sum(build_graph(g.element_table()).chain_builds for g in standard_catalog()) == 187
+        assert sl23x.graph.chain_builds == 99
 
     @pytest.mark.parametrize("name", ["dihedral", "psl27", "sl23_example"])
     def test_pair_maps_match_products(self, name):
@@ -462,9 +460,42 @@ class TestOrbitLabels:
         check_orbit_labels(group.element_table())
 
 
+def naive_row(table, r, k):
+    # row r of build_graph(table, k, mode="naive"), pair by pair: the naive
+    # build leaves the matrix empty when |G| has fewer than k primes, and
+    # otherwise decides each entry with adjacent()
+    n = len(table)
+    if len(prime_factors(n)) < k:
+        return np.zeros(n, dtype=bool)
+    return np.array([adjacent(table, r, j, k) for j in range(n)])
+
+
+def check_rep_rows(table, k):
+    # each representative row is complete on its own: no entry waits for
+    # the row of another class
+    primes = prime_factors(len(table))
+    prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes], dtype=bool)
+    prime_mask = prime_mask.reshape(len(primes), len(table))  # (0, 1) for the trivial group
+    for r in table.class_reps:
+        row, _ = graph_module._row(table, k, prime_mask, r)
+        assert np.array_equal(row, naive_row(table, r, k)), r
+
+
+class TestRepresentativeRows:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("group", standard_catalog(), ids=lambda g: g.name)
+    def test_catalog_rows_match_naive(self, group, k):
+        check_rep_rows(group.element_table(), k)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(group=small_groups(), k=st.sampled_from([2, 3, 4]))
+    def test_random_rows_match_naive(self, group, k):
+        check_rep_rows(group.element_table(), k)
+
+
 class TestReducedAgainstNaive:
-    # random generators give random element and class orders, which exercises
-    # the fill of earlier classes from the representative's column
+    # random generators give random element orders, classes and class trees,
+    # which exercises the transport of each representative row
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(group=small_groups(), k=st.sampled_from([2, 3]))
     def test_reduced_matches_naive(self, group, k):
