@@ -61,11 +61,12 @@ def _resolve_group(args):
 
 
 def _emit(write, out, stream=None):
-    """Return write(fh) on the file `out`, or else on `stream` (default stdout)."""
+    """Return write(fh) on a binary handle: the file `out`, or else `stream`
+    (default stdout's buffer)."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "wb") as fh:
             return write(fh)
-    return write(stream or sys.stdout)
+    return write(stream or sys.stdout.buffer)
 
 
 def cmd_info(args):
@@ -80,7 +81,7 @@ def cmd_info(args):
         "class_count": len(table.class_reps),
         "order_histogram": dict(sorted(Counter(table.order_of).items())),
     }
-    _emit(lambda fh: fh.write(json.dumps(info, indent=2) + "\n"), args.out)
+    _emit(lambda fh: fh.write((json.dumps(info, indent=2) + "\n").encode()), args.out)
     return 0
 
 
@@ -91,8 +92,8 @@ def cmd_graph(args):
     table = group.element_table(args.cap)
     graph = build_graph(table, k=args.k)
     _emit(lambda fh: exports.FORMATS[args.format](graph, fh), args.out)
-    summary = json.dumps(exports.summary(graph), sort_keys=True) + "\n"
-    _emit(lambda fh: fh.write(summary), args.out and args.out + ".summary.json", sys.stderr)
+    summary = (json.dumps(exports.summary(graph), sort_keys=True) + "\n").encode()
+    _emit(lambda fh: fh.write(summary), args.out and args.out + ".summary.json", sys.stderr.buffer)
     return 0
 
 
@@ -238,12 +239,16 @@ def cmd_verify(args):
         groups = [_resolve_group(args)]
 
     def write(fh):
-        all_ok = True
+        all_ok, done = True, 0
         verify = partial(_verify_one, cap=args.cap)
-        for record, ok in pool_map(verify, groups, args.jobs, key=lambda g: g.known_order or 0):
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            all_ok &= ok
+        try:
+            for record, ok in pool_map(verify, groups, args.jobs, key=lambda g: g.known_order or 0):
+                fh.write((json.dumps(record, sort_keys=True) + "\n").encode())
+                fh.flush()
+                all_ok &= ok
+                done += 1
+        except ChildProcessError as exc:  # pool_map names the item by position; name the group
+            raise ChildProcessError(f"a worker process exited with no result for {groups[done].name}") from exc
         return all_ok
 
     return 0 if _emit(write, args.out) else 1

@@ -1,9 +1,11 @@
 """Deterministic graph exports: DOT, GraphML, CSV edge list, JSON.
 
 Vertices are labeled "index:cycles:order"; isolated vertices are excluded.
-Each writer streams to a text handle, one adjacency row at a time. It formats
-one string per vertex once (the decimal index, or the CSV-quoted label), and
-each row is one join of its neighbours' strings between the row's fixed parts.
+Each writer streams UTF-8 bytes to a binary handle, one adjacency row at a
+time. DOT, GraphML and JSON name a vertex by its decimal index, so their
+edge lines are fixed-width records (see _write_records); CSV's quoted
+labels have no common width, and each CSV row is one join of its
+neighbours' labels.
 """
 
 import csv
@@ -19,46 +21,65 @@ def vertex_label(table, i):
     return f"{i}:{format_cycles(table.elements[i])}:{table.order_of[i]}"
 
 
-def edge_list(graph, names):
-    """(i, names[js]) for each i with neighbours js > i, ascending; js sorted."""
+def edge_list(graph):
+    """(i, js) for each i with neighbours js > i, ascending; js sorted."""
     adjacency = graph.adjacency
     for i in graph.vertices.tolist():
         js = np.flatnonzero(adjacency[i, i + 1:])
         if len(js):
-            yield i, names[js + i + 1]
+            yield i, js + (i + 1)
 
 
-def _index_names(graph):
-    return np.array([str(v) for v in range(graph.n)], dtype=object)
+def _write_records(fh, graph, head, end, skip=0):
+    """Write head.format(i) + str(j) + end for each edge i < j, in edge_list
+    order, less the first `skip` bytes of the first edge; return the number
+    of edges.
 
-
-def _write_rows(fh, graph, names, head, end):
-    """One write per row i: head.format(names[i]) + names[j] + end for each edge."""
-    for i, row in edge_list(graph, names):
-        h = head.format(names[i])
-        fh.write(h + (end + h).join(row) + end)
+    The js of a row ascend, so they split into runs of equal digit count, and
+    within a run every line has the same width. Each run is written as one
+    array of records: the row's head, broadcast, then str(j) + end, gathered
+    from a table of those tails for that digit count.
+    """
+    lows = [0] + [10 ** d for d in range(1, len(str(graph.n - 1)))]
+    tails = [
+        np.array([f"{j}{end}".encode() for j in range(low, high)])
+        for low, high in zip(lows, lows[1:] + [graph.n])
+    ]
+    edges = 0
+    for i, js in edge_list(graph):
+        h = head.format(i).encode()
+        cuts = [0, *np.searchsorted(js, lows[1:]).tolist(), len(js)]
+        for low, table, a, b in zip(lows, tails, cuts, cuts[1:]):
+            if a == b:
+                continue
+            records = np.empty(b - a, dtype=[("head", f"S{len(h)}"), ("tail", table.dtype)])
+            records["head"] = h
+            records["tail"] = table[js[a:b] - low]
+            fh.write(records.view(np.uint8)[skip:] if skip and not edges else records)
+            edges += b - a
+    return edges
 
 
 def to_dot(graph, fh):
-    fh.write("graph triprime {\n")
+    fh.write(b"graph triprime {\n")
     for v in graph.vertices.tolist():
-        fh.write(f'  n{v} [label="{vertex_label(graph.table, v)}"];\n')
-    _write_rows(fh, graph, _index_names(graph), "  n{} -- n", ";\n")
-    fh.write("}\n")
+        fh.write(f'  n{v} [label="{vertex_label(graph.table, v)}"];\n'.encode())
+    _write_records(fh, graph, "  n{} -- n", ";\n")
+    fh.write(b"}\n")
 
 
 def to_graphml(graph, fh):
     fh.write(
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
-        '  <key id="label" for="node" attr.name="label" attr.type="string"/>\n'
-        '  <graph id="triprime" edgedefault="undirected">\n'
+        b'<?xml version="1.0" encoding="UTF-8"?>\n'
+        b'<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+        b'  <key id="label" for="node" attr.name="label" attr.type="string"/>\n'
+        b'  <graph id="triprime" edgedefault="undirected">\n'
     )
     for v in graph.vertices.tolist():
         label = escape(vertex_label(graph.table, v), quote=False)
-        fh.write(f'    <node id="n{v}"><data key="label">{label}</data></node>\n')
-    _write_rows(fh, graph, _index_names(graph), '    <edge source="n{}" target="n', '"/>\n')
-    fh.write("  </graph>\n</graphml>\n")
+        fh.write(f'    <node id="n{v}"><data key="label">{label}</data></node>\n'.encode())
+    _write_records(fh, graph, '    <edge source="n{}" target="n', '"/>\n')
+    fh.write(b"  </graph>\n</graphml>\n")
 
 
 class _Echo:
@@ -67,11 +88,14 @@ class _Echo:
 
 
 def to_csv(graph, fh):
+    """One write per row i: names[i] + "," + names[j] + "\\n" for each edge."""
     line = csv.writer(_Echo(), lineterminator="\n").writerow
-    fh.write(line(["source", "target"]))
+    fh.write(line(["source", "target"]).encode())
     names = np.empty(graph.n, dtype=object)
     names[graph.vertices] = [line([vertex_label(graph.table, v)])[:-1] for v in graph.vertices.tolist()]
-    _write_rows(fh, graph, names, "{},", "\n")
+    for i, js in edge_list(graph):
+        h = names[i] + ","
+        fh.write((h + ("\n" + h).join(names[js]) + "\n").encode())
 
 
 def to_json(graph, fh):
@@ -88,13 +112,9 @@ def to_json(graph, fh):
         "isolated_count": int(graph.isolated.sum()),
     }
     head, tail = json.dumps(payload, indent=2, sort_keys=True).split('"edges": []', 1)
-    fh.write(head + '"edges": [')
-    sep = "\n"
-    for i, row in edge_list(graph, _index_names(graph)):
-        h = f"    [\n      {i},\n      "
-        fh.write(sep + h + ("\n    ],\n" + h).join(row) + "\n    ]")
-        sep = ",\n"
-    fh.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
+    fh.write((head + '"edges": [').encode())
+    edges = _write_records(fh, graph, ",\n    [\n      {},\n      ", "\n    ]", skip=1)
+    fh.write((("\n  ]" if edges else "]") + tail + "\n").encode())
 
 
 FORMATS = {"dot": to_dot, "graphml": to_graphml, "csv": to_csv, "json": to_json}

@@ -286,7 +286,7 @@ def test_lost_child_in_verify_is_one_error_line(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_verify_one", exit_on_sl23_example)
     code, out, err = run(capsys, "verify", "--catalog-all", "--stable", "--jobs", "2")
     assert code == 2
-    assert err == "error: a worker process exited with no result for item 15\n"
+    assert err == "error: a worker process exited with no result for sl23_example\n"
     assert out.splitlines() == serial.splitlines()[:15]
     _assert_no_child_left()
 
@@ -514,14 +514,16 @@ def test_info_on_the_catalog_is_pinned(capsys):
 
 
 class _Sha256Sink:
-    """A text stream that hashes what is written to it and keeps nothing."""
+    """A stand-in for sys.stdout whose binary buffer hashes what is written
+    to it and keeps nothing."""
 
     def __init__(self):
         self.digest = hashlib.sha256()
+        self.buffer = self
 
-    def write(self, text):
-        self.digest.update(text.encode("utf-8"))
-        return len(text)
+    def write(self, data):
+        self.digest.update(data)
+        return memoryview(data).nbytes
 
     def flush(self):
         pass

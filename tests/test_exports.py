@@ -21,9 +21,9 @@ DOT_EDGE = re.compile(r"^  n(\d+) -- n(\d+);$", re.M)
 
 
 def written(fmt, graph):
-    fh = io.StringIO()
+    fh = io.BytesIO()
     exports.FORMATS[fmt](graph, fh)
-    return fh.getvalue()
+    return fh.getvalue().decode("utf-8")
 
 
 def json_reference(graph):
@@ -92,6 +92,12 @@ PINNED = {
         "graphml": "d3d6a5683384939afc416b10f1de37448ee8ad60e025f081509db5880f1d38cf",
         "json": "95ca036f8ad9301f235b579d8422d6a17fa7f84f43bc44e1ec119eb144554acd",
     },
+    ("sl23_example", None, 3): {  # n = 1512: edges with 1- to 4-digit targets
+        "csv": "773b835605b2db179d81d6deed6aea4d70adc89062625ad81ba302d3fbef188c",
+        "dot": "8b57494cb1bcf994c2665435fbdf312f3635f7518eec1dae2fe1399f9748e784",
+        "graphml": "c6181ab83dd40a25521a482d6531057f30732fedc560d6d4e438180f44f5b6e8",
+        "json": "ad774cd745601d4306a9d040562a023f17d5f8a20480d37222b2d1c0da47c352",
+    },
 }
 
 
@@ -106,8 +112,8 @@ class _CountingSink:
     def __init__(self):
         self.length = 0
 
-    def write(self, text):
-        self.length += len(text)
+    def write(self, data):
+        self.length += memoryview(data).nbytes
 
 
 @pytest.fixture(scope="module")

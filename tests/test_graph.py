@@ -307,7 +307,9 @@ class TestBfsLevels:
 
 class TestReducedBuild:
     @pytest.mark.parametrize(
-        "name, n, total", [("dihedral", 30, 6), ("symmetric", 5, 35), ("psl27", None, 31)]
+        "name, n, total",
+        [("dihedral", 30, 6), ("symmetric", 5, 35), ("psl27", None, 31)],
+        ids=["dihedral", "symmetric", "psl27"],
     )
     def test_one_call_per_undecided_orbit(self, monkeypatch, name, n, total):
         # a representative decides each orbit of j -> r*j, j*r, j^-1 and
