@@ -60,13 +60,29 @@ def _resolve_group(args):
     return load_group(args.file)
 
 
+class _TextSink:
+    """A binary handle on a text stream with no buffer. Every writer writes
+    whole encoded strings, so each write is decoded as UTF-8 on its own."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, data):
+        return self.stream.write(bytes(data).decode())
+
+    def flush(self):
+        self.stream.flush()
+
+
 def _emit(write, out, stream=None):
-    """Return write(fh) on a binary handle: the file `out`, or else `stream`
-    (default stdout's buffer)."""
+    """Return write(fh) on a binary handle: the file `out`, or else the text
+    stream `stream` (default sys.stdout, read at the call): its buffer when
+    it has one, and otherwise a _TextSink on it."""
     if out:
         with open(out, "wb") as fh:
             return write(fh)
-    return write(stream or sys.stdout.buffer)
+    stream = stream or sys.stdout
+    return write(stream.buffer if hasattr(stream, "buffer") else _TextSink(stream))
 
 
 def cmd_info(args):
@@ -93,7 +109,7 @@ def cmd_graph(args):
     graph = build_graph(table, k=args.k)
     _emit(lambda fh: exports.FORMATS[args.format](graph, fh), args.out)
     summary = (json.dumps(exports.summary(graph), sort_keys=True) + "\n").encode()
-    _emit(lambda fh: fh.write(summary), args.out and args.out + ".summary.json", sys.stderr.buffer)
+    _emit(lambda fh: fh.write(summary), args.out and args.out + ".summary.json", sys.stderr)
     return 0
 
 

@@ -3,7 +3,9 @@
 Two distinct elements are adjacent when the order of the subgroup they
 generate has at least k distinct prime divisors (default k = 3). Conjugation
 by any group element is a graph automorphism, which licenses computing
-adjacency rows and eccentricities at conjugacy-class representatives only.
+adjacency rows and eccentricities at conjugacy-class representatives only;
+every other row is copied from a computed one along the element table's
+conjugation maps.
 Within the row of a representative r, the entry of j depends only on
 <r, j>, which j -> r*j, j -> j*r and j -> j^-1 leave unchanged, so one entry
 is decided per orbit of these maps. Orbits left open are merged further under
@@ -20,6 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .groups import _orbit_labels
 from .primes import prime_factors
 
 DEFAULT_K = 3
@@ -103,9 +106,9 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced"):
     mode "naive" tests every unordered pair directly; "symmetry_reduced"
     decides the row of each class representative r in full, with one test
     per orbit of j -> r*j, j*r, j^-1 and conjugation by N_G(<r>), and
-    transports the row along the class tree. Both produce identical
-    matrices, and both compute the order of <x, y> only for pairs that no
-    cheap certificate decides.
+    copies it to the rest of its class along the conjugation maps by the
+    generators. Both produce identical matrices, and both compute the order
+    of <x, y> only for pairs that no cheap certificate decides.
     """
     if mode not in ("naive", "symmetry_reduced"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -147,7 +150,7 @@ def _row(table, k, prime_mask, rep):
     """
     reach = (prime_mask | prime_mask[:, rep, None]).sum(axis=0) >= k
     builds = 0
-    if not table.class_trees[table.class_of[rep]]:  # r is central
+    if all(m[rep] == rep for m in table.conj_maps):  # r is central
         row = reach
     else:
         R, L = table.mul_maps(rep)
@@ -163,25 +166,6 @@ def _row(table, k, prime_mask, rep):
         row = hit[label]
     row[rep] = False
     return row, builds
-
-
-def _orbit_labels(label, maps):
-    """Each label lowered to the least index of its orbit under the index maps.
-
-    label holds the least index of each class of a partition that the maps
-    permute, as np.arange(n) does; an orbit is a union of such classes.
-    Min-label propagation along the maps and pointer jumping (label[j] lies
-    in j's orbit, so label[label] is a valid jump) run until nothing changes:
-    the standard orbit computation (Holt, Eick & O'Brien, Handbook, 4.1).
-    """
-    while True:
-        merged = label
-        for M in maps:
-            merged = np.minimum(merged, merged[M])
-        merged = merged[merged]
-        if np.array_equal(merged, label):
-            return label
-        label = merged
 
 
 def _open_orbits(label, reach, commuting):
@@ -212,15 +196,22 @@ def _normalizer_conjugations(table, rep, R, L):
 
 
 def _build_reduced(table, k, adjacency):
-    # the row of x^g at position j^g equals the row of x at position j
+    # the row of x^g at position j^g equals the row of x at position j:
+    # conj_maps[t] sends x to x^g, g = generators[t], so a filled row x fills
+    # the row of its image, until every class is filled from its representative
     primes = prime_factors(len(table.elements))
     prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes])  # (primes, n)
     builds = 0
-    for rep, tree in zip(table.class_reps, table.class_trees):
+    for rep in table.class_reps:
         adjacency[rep], b = _row(table, k, prime_mask, rep)
-        for y, x, t in tree:
-            adjacency[y, table.conj_maps[t]] = adjacency[x]
         builds += b
+    filled = np.zeros(len(adjacency), dtype=bool)
+    filled[table.class_reps] = True
+    while not filled.all():
+        for m in table.conj_maps:
+            for x in np.flatnonzero(filled & ~filled[m]):
+                adjacency[m[x], m] = adjacency[x]
+                filled[m[x]] = True
     return builds
 
 

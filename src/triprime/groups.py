@@ -188,9 +188,9 @@ class ElementTable:
     enumeration's products along parents, with no permutation product: for
     g = generators[t], rmul[t][i], lmul[t][i] and conj_maps[t][i] are the
     indices of elements[i] * g, g * elements[i] and g^-1 * elements[i] * g,
-    and inv[i] that of elements[i]^-1. class_trees[c] lists the steps
-    (y, x, t), y = conj_maps[t][x], that first reached each
-    non-representative y of class c, parents first.
+    and inv[i] that of elements[i]^-1. class_of[i] is the class of
+    elements[i] and class_reps[c] the least index of class c, class ids
+    ordered by representative.
     """
 
     degree: int
@@ -206,7 +206,6 @@ class ElementTable:
     class_of: list
     class_reps: list
     conj_maps: list
-    class_trees: list
 
     def __len__(self):
         return len(self.elements)
@@ -307,7 +306,7 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
         inv[i] = unmul[s][inv[p]]
     rmul = [np.array(m, dtype=np.intp) for m in rmul]
     conj_maps = [m[u] for m, u in zip(rmul, unmul)]
-    class_of, class_reps, class_trees = conjugacy_classes(conj_maps)
+    class_of, class_reps = conjugacy_classes(conj_maps)
     # order and prime set are class functions: one cycle decomposition per class
     orders = [elements[r].order() for r in class_reps]
     primes = [prime_factors(o) for o in orders]
@@ -325,37 +324,38 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
         class_of=class_of,
         class_reps=class_reps,
         conj_maps=conj_maps,
-        class_trees=class_trees,
     )
 
 
 def conjugacy_classes(conj_maps):
-    """The ElementTable fields (class_of, class_reps, class_trees) read off its conj_maps.
+    """The ElementTable fields (class_of, class_reps) read off its conj_maps.
 
     Classes are the orbits of conjugation by the generators; the
-    representative of each class is its least element index.
+    representative of each class is its least element index, and class ids
+    are ordered by representative.
     """
-    maps = [m.tolist() for m in conj_maps]
-    n = len(maps[0])
-    class_of = [-1] * n
-    reps = []
-    trees = []
-    for i in range(n):
-        if class_of[i] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(i)
-        class_of[i] = cid
-        trees.append([])
-        members = [i]
-        for x in members:  # the list is the queue: it grows while it is read
-            for t, m in enumerate(maps):
-                y = m[x]
-                if class_of[y] < 0:
-                    class_of[y] = cid
-                    trees[cid].append((y, x, t))
-                    members.append(y)
-    return class_of, reps, trees
+    label = _orbit_labels(np.arange(len(conj_maps[0])), conj_maps)
+    reps, class_of = np.unique(label, return_inverse=True)
+    return class_of.tolist(), reps.tolist()
+
+
+def _orbit_labels(label, maps):
+    """Each label lowered to the least index of its orbit under the index maps.
+
+    label holds the least index of each class of a partition that the maps
+    permute, as np.arange(n) does; an orbit is a union of such classes.
+    Min-label propagation along the maps and pointer jumping (label[j] lies
+    in j's orbit, so label[label] is a valid jump) run until nothing changes:
+    the standard orbit computation (Holt, Eick & O'Brien, Handbook, 4.1).
+    """
+    while True:
+        merged = label
+        for M in maps:
+            merged = np.minimum(merged, merged[M])
+        merged = merged[merged]
+        if np.array_equal(merged, label):
+            return label
+        label = merged
 
 
 def centralizer_elements(table, subset, x):

@@ -234,6 +234,21 @@ def test_never_more_workers_than_items(monkeypatch):
     _assert_no_child_left()
 
 
+def test_queue_over_one_pipe_is_refused_before_any_fork(monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    with pytest.raises(ValueError, match=r"^1048576 items do not fit one queue pipe$"):
+        next(pool_map(abs, list(range(1 << 20)), 2))
+    assert forks == []
+    _assert_no_child_left()
+
+
 def _tenfold_but_three(x):
     if x == 3:
         raise ArithmeticError(f"no tenfold of {x}")
@@ -527,6 +542,33 @@ class _Sha256Sink:
 
     def flush(self):
         pass
+
+
+class _TextOnly:
+    """A stand-in for sys.stdout or sys.stderr with only write and flush, as
+    an embedding host may install."""
+
+    def __init__(self):
+        self.text = ""
+
+    def write(self, text):
+        self.text += text
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("command", [["info"], ["graph", "--format", "dot"], ["verify"]], ids=lambda c: c[0])
+def test_text_only_streams_get_the_same_text(capsys, monkeypatch, command):
+    argv = [*command, "--catalog", "dihedral", "--n", "30"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    stdout, stderr = _TextOnly(), _TextOnly()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(argv) == 0
+    assert (stdout.text, stderr.text) == (out, err)
 
 
 def test_a7_k2_graphml_is_pinned(monkeypatch):

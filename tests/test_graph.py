@@ -348,8 +348,8 @@ class TestReducedBuild:
         table = group.element_table()
         for r in table.class_reps:
             R, L = table.mul_maps(r)
-            label = graph_module._orbit_labels(np.arange(len(table)), [R, L, table.inv])
-            label = graph_module._orbit_labels(label, graph_module._normalizer_conjugations(table, r, R, L))
+            label = groups_module._orbit_labels(np.arange(len(table)), [R, L, table.inv])
+            label = groups_module._orbit_labels(label, graph_module._normalizer_conjugations(table, r, R, L))
             assert (label <= np.arange(len(table))).all()
             assert np.array_equal(label[label], label)
             x = table.elements[r]
@@ -443,11 +443,11 @@ def check_orbit_labels(table):
     n = len(table)
     for r in table.class_reps:
         R, L = table.mul_maps(r)
-        label = graph_module._orbit_labels(np.arange(n), [R, L, table.inv])
+        label = groups_module._orbit_labels(np.arange(n), [R, L, table.inv])
         products = [R.tolist(), L.tolist(), table.inv.tolist()]
         assert label.tolist() == brute_orbit_labels(products, n)
         conjugations = graph_module._normalizer_conjugations(table, r, R, L)
-        merged = graph_module._orbit_labels(label, conjugations)
+        merged = groups_module._orbit_labels(label, conjugations)
         assert merged.tolist() == brute_orbit_labels(products + [C.tolist() for C in conjugations], n)
 
 
@@ -496,8 +496,8 @@ class TestRepresentativeRows:
 
 
 class TestReducedAgainstNaive:
-    # random generators give random element orders, classes and class trees,
-    # which exercises the transport of each representative row
+    # random generators give random element orders, classes and conjugation
+    # maps, which exercises the copying of each representative row
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(group=small_groups(), k=st.sampled_from([2, 3]))
     def test_reduced_matches_naive(self, group, k):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_graph import small_groups
 from triprime.groups import (
     OrderCapExceeded,
     _affine,
@@ -309,7 +310,7 @@ class TestConjugacyClasses:
     def test_abelian_singletons(self):
         table = catalog("cyclic", 12).element_table()
         assert len(table.class_reps) == 12
-        assert table.class_trees == [[]] * 12
+        assert table.class_of == list(range(12))
 
     def test_s3_class_sizes(self):
         table = catalog("symmetric", 3).element_table()
@@ -329,21 +330,21 @@ class TestConjugacyClasses:
             members = table.class_members(cid)
             assert rep == min(members)
 
-    @pytest.mark.parametrize(
-        "group",
-        [catalog("dihedral", 30), catalog("sl23"), catalog("symmetric", 4)],
-        ids=lambda g: g.name,
-    )
-    def test_class_trees_span_classes(self, group):
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(group=small_groups())
+    def test_random_groups_match_brute_force(self, group):
+        # each class is the closure of an element under conjugation by every
+        # element, labelled by its least index, class ids in label order
         table = group.element_table()
-        assert len(table.class_trees) == len(table.class_reps)
-        for cid, tree in enumerate(table.class_trees):
-            reached = [table.class_reps[cid]]
-            for y, x, t in tree:
-                assert table.conj_maps[t][x] == y
-                assert x in reached
-                reached.append(y)
-            assert sorted(reached) == table.class_members(cid)
+        x = table.elements
+        label = [None] * len(x)
+        for i in range(len(x)):
+            if label[i] is None:
+                for j in {table.index_of[x[i].conjugate(g)] for g in x}:
+                    label[j] = i
+        reps = sorted(set(label))
+        assert table.class_reps == reps
+        assert table.class_of == [reps.index(m) for m in label]
 
     @pytest.mark.parametrize(
         "group",
