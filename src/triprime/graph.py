@@ -3,8 +3,12 @@
 Two distinct elements are adjacent when the order of the subgroup they
 generate has at least k distinct prime divisors (default k = 3). Conjugation
 by any group element is a graph automorphism, which licenses computing
-adjacency rows and eccentricities at conjugacy-class representatives only;
-every other row is copied from a computed one along the element table's
+adjacency rows and eccentricities at conjugacy-class representatives only.
+Adjacency depends only on <x, y>, and <x^m, y> = <x, y> when gcd(m, |x|) = 1,
+so the generators of one cyclic subgroup are twins: their rows agree but at
+the two of them. One row is therefore decided per rational class, the
+classes joined by these powers, and one BFS row serves twin sources. Every
+other row is gathered from a filled one along the element table's
 conjugation maps.
 Within the row of a representative r, the entry of j depends only on
 <r, j>, which j -> r*j, j -> j*r and j -> j^-1 leave unchanged, so one entry
@@ -18,6 +22,7 @@ per-pair certificates multiply permutations.
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Tuple
 
 import numpy as np
@@ -105,10 +110,12 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced"):
 
     mode "naive" tests every unordered pair directly; "symmetry_reduced"
     decides the row of each class representative r in full, with one test
-    per orbit of j -> r*j, j*r, j^-1 and conjugation by N_G(<r>), and
-    copies it to the rest of its class along the conjugation maps by the
-    generators. Both produce identical matrices, and both compute the order
-    of <x, y> only for pairs that no cheap certificate decides.
+    per orbit of j -> r*j, j*r, j^-1 and conjugation by N_G(<r>), seeds
+    with it the class of each generator r^m of <r>, which is then not
+    decided again, and fills the rest of each class from its seed along
+    the conjugation maps by the generators. Both produce identical
+    matrices, and both compute the order of <x, y> only for pairs that no
+    cheap certificate decides.
     """
     if mode not in ("naive", "symmetry_reduced"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -150,7 +157,7 @@ def _row(table, k, prime_mask, rep):
     """
     reach = (prime_mask | prime_mask[:, rep, None]).sum(axis=0) >= k
     builds = 0
-    if all(m[rep] == rep for m in table.conj_maps):  # r is central
+    if _is_central(table, rep):
         row = reach
     else:
         R, L = table.mul_maps(rep)
@@ -196,23 +203,52 @@ def _normalizer_conjugations(table, rep, R, L):
 
 
 def _build_reduced(table, k, adjacency):
-    # the row of x^g at position j^g equals the row of x at position j:
-    # conj_maps[t] sends x to x^g, g = generators[t], so a filled row x fills
-    # the row of its image, until every class is filled from its representative
+    # <r^m, j> = <r, j> when gcd(m, |r|) = 1, so each such power y of a
+    # decided r takes r's row, with entries y and r swapped, and no class
+    # holding one is decided again. The row of x^g at position j^g equals
+    # the row of x at position j: conj_maps[t] sends x to x^g,
+    # g = generators[t], so a filled row x fills the row of its image,
+    # gathered through the inverse map, until every class is filled from
+    # its seed
     primes = prime_factors(len(table.elements))
     prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes])  # (primes, n)
     builds = 0
-    for rep in table.class_reps:
-        adjacency[rep], b = _row(table, k, prime_mask, rep)
-        builds += b
+    seeded = np.zeros(len(table.class_reps), dtype=bool)  # by class id
     filled = np.zeros(len(adjacency), dtype=bool)
-    filled[table.class_reps] = True
+    for rep in table.class_reps:
+        if seeded[table.class_of[rep]]:
+            continue
+        row, b = _row(table, k, prime_mask, rep)
+        builds += b
+        for y in [rep] if _is_central(table, rep) else _cyclic_generators(table, rep):
+            if not seeded[table.class_of[y]]:
+                seeded[table.class_of[y]] = filled[y] = True
+                adjacency[y] = row
+                adjacency[y, y] = False
+                adjacency[y, rep] = row[y]
     while not filled.all():
         for m in table.conj_maps:
+            u = np.argsort(m)  # m^-1: the row of m[x] at i is that of x at u[i]
             for x in np.flatnonzero(filled & ~filled[m]):
-                adjacency[m[x], m] = adjacency[x]
+                adjacency[m[x]] = adjacency[x][u]
                 filled[m[x]] = True
     return builds
+
+
+def _is_central(table, rep):
+    """Whether every conjugation map fixes r, alone in its class."""
+    return all(m[rep] == rep for m in table.conj_maps)
+
+
+def _cyclic_generators(table, rep):
+    """The indices of r^m for gcd(m, |r|) = 1, r first: the generators of
+    <r>, walked from the identity along R = mul_maps(r)[0], j -> j*r."""
+    R, _ = table.mul_maps(rep)
+    order = table.order_of[rep]
+    powers = [0]
+    for _ in range(order - 1):
+        powers.append(int(R[powers[-1]]))
+    return [powers[m] for m in range(1, order) if gcd(m, order) == 1]
 
 
 def _bfs_levels(graph, source):
@@ -264,17 +300,36 @@ def distance(graph, i, j):
     return None if d < 0 else int(d)
 
 
-def _distance_rows(graph, sources):
-    """BFS rows, one per source, as an int32 (len(sources), n) array."""
-    return np.array([_bfs_levels(graph, s) for s in sources], dtype=np.int32).reshape(-1, graph.n)
-
-
 def rep_distances(graph):
     """(sources, dist): the non-isolated class representatives, in class
     order, and their BFS rows over all element indices (-1 = unreachable).
-    Distances are conjugation-invariant, so these rows cover every vertex."""
+    Distances are conjugation-invariant, so these rows cover every vertex.
+
+    Twins s and t, whose rows agree once entries s and t are cleared, are at
+    the same distance from every other vertex, so s reuses the row of an
+    earlier BFS'd twin t, with dist[s] = 0 and dist[t] = d_t(s). Generators
+    of one cyclic subgroup are twins. Candidates share the order and the
+    degree of s, and each is certified on the adjacency rows, so any graph
+    gets exact rows; every other source runs _bfs_levels.
+    """
+    A = graph.adjacency
     sources = [r for r in graph.table.class_reps if not graph.isolated[r]]
-    return sources, _distance_rows(graph, sources)
+    dist = np.empty((len(sources), graph.n), dtype=np.int32)
+    searched = {}  # (order, degree) -> positions in sources of BFS'd rows
+    for i, s in enumerate(sources):
+        key = (graph.table.order_of[s], int(np.count_nonzero(A[s])))
+        for j in searched.get(key, ()):
+            t = sources[j]
+            differ = A[s] != A[t]
+            differ[[s, t]] = False
+            if not differ.any():
+                dist[i] = dist[j]
+                dist[i, s], dist[i, t] = 0, dist[j, s]
+                break
+        else:
+            dist[i] = _bfs_levels(graph, s)
+            searched.setdefault(key, []).append(i)
+    return sources, dist
 
 
 def diameter_from_rows(graph, sources, dist):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from test_graph import distance_rows
 from triprime.analysis import (
     check_fpf,
     check_higman,
@@ -252,7 +253,9 @@ class TestVerifyTheorem:
         assert report.sigma_count == 8
 
     def test_one_bfs_pass_per_nonisolated_class(self, monkeypatch):
-        # dihedral(30) has 9 classes, 4 of them isolated
+        # dihedral(30) has 9 classes, 4 of them isolated; the 4 rotation
+        # classes of order 15 generate one subgroup, so they are twins, and
+        # one BFS serves them with one more for the reflections
         group = catalog("dihedral", 30)
         graph = build_graph(group.element_table())
         calls = []
@@ -264,7 +267,7 @@ class TestVerifyTheorem:
 
         monkeypatch.setattr(graphmod, "_bfs_levels", counted)
         assert verify_theorem(group, graph=graph, table=graph.table).ok
-        assert len(calls) == 5
+        assert len(calls) == 2
 
     def test_s4_vacuous(self):
         report = verify_theorem(catalog("symmetric", 4))
@@ -304,6 +307,26 @@ def _path_graph(table, skip=None):
             A[i, i + 1] = A[i + 1, i] = True
     return NonFGraph(table=table, k=3, adjacency=A, isolated=~A.any(axis=1),
                      vertices=np.flatnonzero(A.any(axis=1)))
+
+
+@pytest.mark.parametrize("name, n", [("dihedral", 30), ("frobenius21", None), ("symmetric", 5)])
+def test_path_graphs_find_no_false_twin(monkeypatch, name, n):
+    # on a hand-built path no two class representatives are twins, so every
+    # source runs its own BFS and the rows are exact
+    t = catalog(name, n).element_table()
+    calls = []
+    bfs_levels = graphmod._bfs_levels
+
+    def counted(g, source):
+        calls.append(source)
+        return bfs_levels(g, source)
+
+    monkeypatch.setattr(graphmod, "_bfs_levels", counted)
+    for graph in (_path_graph(t), _path_graph(t, skip=len(t) // 2)):
+        calls.clear()
+        sources, dist = graphmod.rep_distances(graph)
+        assert calls == sources
+        assert np.array_equal(dist, distance_rows(graph, sources))
 
 
 def test_failing_verdicts_pinned():

@@ -92,6 +92,12 @@ PINNED = {
         "graphml": "d3d6a5683384939afc416b10f1de37448ee8ad60e025f081509db5880f1d38cf",
         "json": "95ca036f8ad9301f235b579d8422d6a17fa7f84f43bc44e1ec119eb144554acd",
     },
+    ("dihedral", 210, 3): {  # 53 non-central classes, 8 rational ones
+        "csv": "40c421cb5a8bd118ee98d89bef1e1abe7969928389bcfeb0f6ec8bce37485956",
+        "dot": "c04f92c78c6f61a9c8ac4bb4851ceea54bf5415a3cc01f29358ac7d611e9dd01",
+        "graphml": "d6506bb78064639d6a81373bf3fba4bc549ea424c7f238151cfbe40efc8dce33",
+        "json": "e338c2f31b14172e0bdba636ceb9b93ec87a2e4a2d86f08094572dcd3ef94f92",
+    },
     ("sl23_example", None, 3): {  # n = 1512: edges with 1- to 4-digit targets
         "csv": "773b835605b2db179d81d6deed6aea4d70adc89062625ad81ba302d3fbef188c",
         "dot": "8b57494cb1bcf994c2665435fbdf312f3635f7518eec1dae2fe1399f9748e784",

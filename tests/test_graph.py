@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from math import gcd
 
 import numpy as np
 import pytest
@@ -66,11 +67,16 @@ def eccentricities(graph, sources):
     return out
 
 
+def distance_rows(graph, sources):
+    """One _bfs_levels row per source, as an int32 (len(sources), n) array."""
+    return np.array([graph_module._bfs_levels(graph, s) for s in sources], dtype=np.int32).reshape(-1, graph.n)
+
+
 def per_vertex_diameter(graph):
     """The diameter from a BFS row at every non-isolated vertex, not only at
     the class representatives."""
     sources = [int(v) for v in graph.vertices]
-    return diameter_from_rows(graph, sources, graph_module._distance_rows(graph, sources))
+    return diameter_from_rows(graph, sources, distance_rows(graph, sources))
 
 
 class TestAdjacent:
@@ -226,6 +232,22 @@ def brute_normalizer(table, r):
     return [g for g in table.elements if g.inverse() * x * g in powers]
 
 
+def decided_reps(table):
+    # the class representatives whose rows the reduced build decides, in
+    # class order: a later class is skipped once it holds x^m with
+    # gcd(m, |x|) = 1 for a decided non-central x, by permutation powers
+    seeded, decided = set(), []
+    for r in table.class_reps:
+        if table.class_of[r] in seeded:
+            continue
+        decided.append(r)
+        x = table.elements[r]
+        if any(x * y != y * x for y in table.elements):
+            o = table.order_of[r]
+            seeded |= {table.class_of[table.index_of[x**m]] for m in range(1, o) if gcd(m, o) == 1}
+    return decided
+
+
 def brute_orbit(table, r, j, normalizer):
     # closure of j under j -> r*j, j -> j*r, j -> j^-1 and j -> g^-1 * j * g
     # for g in the normalizer, by permutation products
@@ -308,13 +330,14 @@ class TestBfsLevels:
 class TestReducedBuild:
     @pytest.mark.parametrize(
         "name, n, total",
-        [("dihedral", 30, 6), ("symmetric", 5, 35), ("psl27", None, 31)],
+        [("dihedral", 30, 5), ("symmetric", 5, 35), ("psl27", None, 29)],
         ids=["dihedral", "symmetric", "psl27"],
     )
     def test_one_call_per_undecided_orbit(self, monkeypatch, name, n, total):
-        # a representative decides each orbit of j -> r*j, j*r, j^-1 and
-        # conjugation by N_G(<r>) that the primes of r and j leave open and
-        # whose members do not commute with r, once, at the orbit's least index
+        # a decided representative decides each orbit of j -> r*j, j*r, j^-1
+        # and conjugation by N_G(<r>) that the primes of r and j leave open
+        # and whose members do not commute with r, once, at the orbit's least
+        # index
         table = catalog(name, n).element_table()
         calls = Counter()
         original = graph_module._adjacent_counted
@@ -326,7 +349,7 @@ class TestReducedBuild:
         monkeypatch.setattr(graph_module, "_adjacent_counted", counted)
         build_graph(table, mode="symmetry_reduced")
         expected = Counter()
-        for r in table.class_reps:
+        for r in decided_reps(table):
             x = table.elements[r]
             normalizer = brute_normalizer(table, r)
             seen = set()
@@ -360,8 +383,8 @@ class TestReducedBuild:
 
     def test_exact_orders_pinned(self, sl23x):
         # one exact subgroup order per merged orbit that no certificate decides
-        assert sum(build_graph(g.element_table()).chain_builds for g in standard_catalog()) == 187
-        assert sl23x.graph.chain_builds == 99
+        assert sum(build_graph(g.element_table()).chain_builds for g in standard_catalog()) == 130
+        assert sl23x.graph.chain_builds == 56
 
     @pytest.mark.parametrize("name", ["dihedral", "psl27", "sl23_example"])
     def test_pair_maps_match_products(self, name):
@@ -389,7 +412,8 @@ class TestReducedBuild:
         ids=lambda g: g.name,
     )
     def test_central_rows_label_no_orbits(self, monkeypatch, group):
-        # a central representative's row is read off the primes alone
+        # a central representative's row is read off the primes alone, and
+        # only the decided representatives label orbits
         table = group.element_table()
         labelled = []
         original = graph_module._orbit_labels
@@ -404,7 +428,7 @@ class TestReducedBuild:
         x = table.elements
         central = [r for r in table.class_reps if all(x[r] * y == y * x[r] for y in x)]
         assert len(central) > 1
-        assert labelled == [r for r in table.class_reps if r not in central]
+        assert labelled == [r for r in decided_reps(table) if r not in central]
 
     def test_cyclic_210_build_composes_few_letters(self, count_letters):
         table = catalog("cyclic", 210).element_table()
@@ -510,6 +534,79 @@ class TestReducedAgainstNaive:
         ecc = eccentricities(reduced, reduced.vertices)
         for cid in range(len(table.class_reps)):
             assert len({ecc[m] for m in table.class_members(cid) if m in ecc}) <= 1
+
+
+# every catalog group at k = 2, 3, 4 except sl23_example at k = 3, whose
+# naive build takes over a minute; its k = 3 edges are pinned by the export
+# digests in test_exports.PINNED
+CATALOG_K = [(g, k) for k in (2, 3, 4) for g in standard_catalog() if (g.name, k) != ("sl23_example", 3)]
+
+
+class TestRationalSeeds:
+    # a decided row seeds the class of every generator of <r>, so the naive
+    # build is the oracle for the seeded rows and for the fill from them
+    @pytest.mark.parametrize("group, k", CATALOG_K, ids=lambda v: getattr(v, "name", v))
+    def test_catalog_matches_naive(self, group, k):
+        table = group.element_table()
+        assert np.array_equal(build_graph(table, k=k).adjacency, build_graph(table, k=k, mode="naive").adjacency)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(group=small_groups(), k=st.sampled_from([2, 3, 4]))
+    def test_random_groups_match_naive(self, group, k):
+        table = group.element_table()
+        assert np.array_equal(build_graph(table, k=k).adjacency, build_graph(table, k=k, mode="naive").adjacency)
+
+    def test_dihedral_210_decides_one_row_per_rational_class(self, monkeypatch):
+        # 53 non-central classes: the reflections, and 52 rotation classes
+        # that join into one per rotation order, 3 to 105: 8 rows
+        table = catalog("dihedral", 210).element_table()
+        decided = []
+        original = graph_module._row
+
+        def recorded(table, k, prime_mask, rep):
+            decided.append(rep)
+            return original(table, k, prime_mask, rep)
+
+        monkeypatch.setattr(graph_module, "_row", recorded)
+        build_graph(table)
+        assert decided == decided_reps(table)
+        non_central = [r for r in table.class_reps if not graph_module._is_central(table, r)]
+        assert len(non_central) == 53
+        assert len([r for r in decided if r in non_central]) == 8
+
+
+def check_rep_distances(graph):
+    # the rows of rep_distances against one _bfs_levels row per source
+    sources, dist = rep_distances(graph)
+    assert sources == [r for r in graph.table.class_reps if not graph.isolated[r]]
+    assert dist.dtype == np.int32
+    assert np.array_equal(dist, distance_rows(graph, sources))
+
+
+class TestRepDistances:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_catalog_matches_bfs(self, k):
+        for group in standard_catalog():
+            check_rep_distances(build_graph(group.element_table(), k=k))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(group=small_groups(), k=st.sampled_from([2, 3]))
+    def test_random_groups_match_bfs(self, group, k):
+        check_rep_distances(build_graph(group.element_table(), k=k))
+
+    def test_twins_share_one_pass(self, monkeypatch):
+        # dihedral(210): the rotations of each order generate one subgroup
+        graph = build_graph(catalog("dihedral", 210).element_table())
+        calls = []
+        original = graph_module._bfs_levels
+
+        def counted(g, source):
+            calls.append(source)
+            return original(g, source)
+
+        monkeypatch.setattr(graph_module, "_bfs_levels", counted)
+        sources, _ = rep_distances(graph)
+        assert len(calls) < len(sources)
 
 
 class TestSubgroup:
