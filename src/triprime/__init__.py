@@ -1,7 +1,7 @@
 """Graphs on finite permutation groups where two elements are adjacent when
 they generate a subgroup whose order has at least k distinct prime divisors
 (default k = 3), plus the machinery needed to study them: permutation
-arithmetic, stabilizer chains, conjugacy classes, the prime graph on element
+arithmetic, element tables, conjugacy classes, the prime graph on element
 orders, and a verification harness."""
 
 import os
@@ -46,7 +46,6 @@ from .groups import (
     ElementTable,
     OrderCapExceeded,
     PermutationGroup,
-    StabilizerChain,
     catalog,
     centralizer_elements,
     conjugacy_classes,

@@ -1,20 +1,17 @@
-"""Finite permutation groups: element tables, stabilizer chains, catalog.
+"""Finite permutation groups: element tables, subgroups, catalog.
 
 Every subgroup is computed on the element table: ElementTable.subgroup
 closes element indices on the table's index maps, ElementTable.span takes
 greedy generators of the subgroup a mask spans, and normal closures, the
 derived series and solvability are read off the two; the enumeration
-enforces the element cap. The stabilizer chain is the deterministic
-incremental Schreier-Sims, with the smallest moved point as each base point
-and orbits extended breadth-first in generator order, reproducible for a
-fixed generator sequence. It serves only the exact order named when a group
-file over the cap is refused, and two_generated_order, the reference for
-|<x, y>|. A catalog group knows its order from a closed formula.
+enforces the element cap. Every order is the length of a listing, and
+two_generated_order lists <x, y>. A catalog group knows its order from a
+closed formula.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial, prod
+from math import factorial
 from operator import mul
 
 import numpy as np
@@ -29,7 +26,9 @@ class OrderCapExceeded(RuntimeError):
     """Raised when a group is larger than the enumeration cap."""
 
     def __init__(self, order, cap):
-        super().__init__(f"group order {order} exceeds cap {cap}; raise the cap to proceed")
+        # order is the known order, or None when only the listing passed the cap
+        size = f"group order {order}" if order is not None else f"group has more than {cap} elements,"
+        super().__init__(f"{size} exceeds cap {cap}; raise the cap to proceed")
         self.order = order
         self.cap = cap
 
@@ -37,108 +36,16 @@ class OrderCapExceeded(RuntimeError):
         return type(self), (self.order, self.cap)
 
 
-class StabilizerChain:
-    """Base, basic orbits and transversals for a permutation group.
-
-    gens[l] lists strong generators that fix base[:l], in the order added;
-    transversals[l] maps each point of the orbit of base[l] under gens[l] to
-    (u, u_inverse), u mapping base[l] to the point. Built by the incremental
-    Schreier-Sims of the Handbook of Computational Group Theory, 4.4: levels
-    are walked deepest first and each Schreier generator is sifted once; a
-    residue of level l that drops to level j joins gens[l+1..j], and the walk
-    resumes at j.
-    """
-
-    def __init__(self, generators, degree=None):
-        generators = list(generators)
-        if degree is None:
-            if not generators:
-                raise ValueError("need a degree or at least one generator")
-            degree = len(generators[0])
-        for g in generators:
-            if len(g) != degree:
-                raise ValueError(f"degree mismatch: {len(g)} vs {degree}")
-        self.degree = degree
-        self.base = []
-        self.gens = []
-        self.transversals = []
-        self._tested = []  # per level, the (orbit point, generator index) pairs already sifted
-        for g in dict.fromkeys(generators):
-            if not g.is_identity():
-                self._add(g, 0, next((l for l, b in enumerate(self.base) if g[b] != b), len(self.base)))
-        level = len(self.base) - 1
-        while level >= 0:
-            h, drop = self._residue(level)
-            if h is None:
-                level -= 1
-            else:
-                self._add(h, level + 1, drop)
-                level = drop
-
-    def _add(self, h, first, last):
-        """Add h to gens[first..last], first extending the base if last == len(base),
-        and extend those levels' orbits in place."""
-        if last == len(self.base):
-            b = next(i for i in range(self.degree) if h[i] != i)
-            e = identity(self.degree)
-            self.base.append(b)
-            self.gens.append([])
-            self.transversals.append({b: (e, e)})
-            self._tested.append(set())
-        for level in range(first, last + 1):
-            gens, trans = self.gens[level], self.transversals[level]
-            gens.append(h)
-            orbit = list(trans)
-            for p in orbit:  # the list is the queue: it grows while it is read
-                for s in gens:
-                    q = s[p]
-                    if q not in trans:
-                        v = trans[p][0] * s
-                        trans[q] = (v, v.inverse())
-                        orbit.append(q)
-
-    def _residue(self, level):
-        """Sift this level's untested Schreier generators through the levels below;
-        the first non-trivial residue and the level it reached, or (None, None)."""
-        trans, tested = self.transversals[level], self._tested[level]
-        for p, (u, _) in trans.items():
-            for t, s in enumerate(self.gens[level]):
-                if (p, t) in tested:
-                    continue
-                tested.add((p, t))
-                h, drop = self.sift(u * s * trans[s[p]][1], level + 1)
-                if not h.is_identity():
-                    return h, drop
-        return None, None
-
-    def sift(self, p, start=0):
-        """Reduce p through the chain; returns (residue, level reached)."""
-        for level, b in enumerate(self.base[start:], start):
-            x = p[b]
-            if x == b:  # the base point's entry is the identity
-                continue
-            entry = self.transversals[level].get(x)
-            if entry is None:
-                return p, level
-            p = p * entry[1]
-        return p, len(self.base)
-
-    def order(self):
-        return prod(map(len, self.transversals))
-
-
 def two_generated_order(x, y):
-    """|<x, y>| computed from a fresh stabilizer chain on {x, y}."""
-    if len(x) != len(y):
-        raise ValueError(f"degree mismatch: {len(x)} vs {len(y)}")
-    return StabilizerChain([x, y], degree=len(x)).order()
+    """|<x, y>|, the length of the listing of <x, y>."""
+    return len(PermutationGroup([x, y]).element_table())
 
 
 class PermutationGroup:
-    """A finite permutation group given by generators; chain built lazily.
+    """A finite permutation group given by generators; element table listed lazily.
 
     known_order is the order a catalog builder knows by construction, or
-    None; order() is always the chain's.
+    None; the order of the group is the length of its element table.
     """
 
     def __init__(self, generators, degree=None, name=None, known_order=None):
@@ -156,17 +63,7 @@ class PermutationGroup:
         self.generators = generators
         self.name = name
         self.known_order = known_order
-        self._chain = None
         self._table = None
-
-    @property
-    def chain(self):
-        if self._chain is None:
-            self._chain = StabilizerChain(self.generators, self.degree)
-        return self._chain
-
-    def order(self):
-        return self.chain.order()
 
     def __repr__(self):
         label = self.name or f"degree-{self.degree} group"
@@ -267,12 +164,11 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
     """Materialize all elements of the group, with orders, prime sets and classes.
 
     Enumeration is breadth-first closure of the generators under right
-    multiplication, independent of the stabilizer chain (the two orders are
-    cross-checked in the test suite). A group whose known_order exceeds cap
-    is refused before anything is listed; otherwise, once the listing holds
+    multiplication. A group whose known_order exceeds cap is refused with
+    that order before anything is listed; otherwise, once the listing holds
     more than cap elements, the identity counted, it raises OrderCapExceeded
-    with the chain's exact order. A complete listing whose length differs
-    from a known_order raises ValueError.
+    with no order. A complete listing whose length differs from a
+    known_order raises ValueError.
     """
     known = group.known_order
     if known is not None and known > cap:
@@ -292,7 +188,7 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
                 parents.append((i, t))
             rmul[t].append(j)
         if len(elements) > cap:
-            raise OrderCapExceeded(group.order(), cap)
+            raise OrderCapExceeded(None, cap)
     if known is not None and len(elements) != known:
         raise ValueError(f"{group.name}: {len(elements)} elements listed, known order {known}")
     # g * (p * s) = (g * p) * s and (p * s)^-1 = s^-1 * p^-1, parents first

@@ -3,7 +3,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from triprime import groups
 from triprime.graph import build_graph, diameter
 from triprime.groups import catalog, direct_product
 
@@ -42,25 +41,6 @@ def f21xc2():
 def sl23x():
     """The order-1512 semidirect-product example; built once, with timings."""
     return _bundle(catalog("sl23_example"), timed=True)
-
-
-@pytest.fixture
-def count_chains(monkeypatch):
-    """A function that starts the count: it returns a list that gains an
-    entry for each StabilizerChain constructed after the call."""
-
-    def start():
-        built = []
-
-        class CountingChain(groups.StabilizerChain):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(groups, "StabilizerChain", CountingChain)
-        return built
-
-    return start
 
 
 @pytest.fixture

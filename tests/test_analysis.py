@@ -17,7 +17,7 @@ from triprime.analysis import (
 )
 from triprime import graph as graphmod
 from triprime.graph import NonFGraph, build_graph
-from triprime.groups import catalog, direct_product, is_solvable, normal_closure
+from triprime.groups import catalog, direct_product, is_solvable
 from triprime.primes import is_squarefree, prime_factors
 
 
@@ -228,17 +228,6 @@ class TestFpf:
         n5 = rotation_subgroup_indices(d30, 3)
         out = check_fpf(d30.table, n5, d30.table.index_of[a], 0)
         assert out.outcome == "not-applicable"
-
-
-def test_lemma_checks_construct_no_chain(count_chains):
-    # criterion 7's first input, D30 over its C5: every |<a, b>| is read off the table
-    built = count_chains()
-    table = catalog("dihedral", 30).element_table()
-    n5 = set(np.flatnonzero(normal_closure(table, [table.generators[0] ** 3])).tolist())
-    b = table.index_of[table.generators[1]]
-    assert check_rdivides(table, n5, b, b).outcome == "pass"
-    assert check_fpf(table, n5, b, 0).outcome == "pass"
-    assert built == []
 
 
 class TestVerifyTheorem:

@@ -80,16 +80,24 @@ class TestInfo:
         assert (code, out) == (2, "")
         assert err == f"error: {message.format(path=path)}\n"
 
-    def test_refusal_names_the_order_quickly(self, capsys, count_chains):
+    def test_refusal_names_the_order_quickly(self, capsys):
         # a catalog group knows its order: it is refused before anything is listed
-        built = count_chains()
         start = time.perf_counter()
         code, out, err = run(capsys, "info", "--catalog", "symmetric", "--n", "150")
         assert time.perf_counter() - start < 5
         assert code == 2
         assert out == ""
         assert err == f"error: group order {math.factorial(150)} exceeds cap 20000; raise the cap to proceed\n"
-        assert built == []
+
+    def test_file_refusal_is_quick(self, capsys, tmp_path):
+        # a group file knows no order: it is refused once its listing passes the cap
+        path = tmp_path / "s150.grp"
+        path.write_text(f"degree: 150\ngen: (1,2)\ngen: ({','.join(map(str, range(1, 151)))})\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "info", "--file", str(path))
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == "error: group has more than 20000 elements, exceeds cap 20000; raise the cap to proceed\n"
 
     def test_requires_exactly_one_spec(self, capsys):
         code, _, err = run(capsys, "info")
@@ -210,6 +218,16 @@ class TestVerify:
         assert len(records) == 16
         assert any("error" in r and "exceeds cap 100" in r["error"] for r in records)
 
+    def test_file_past_the_cap_is_one_error_record(self, capsys, tmp_path):
+        # a group file over the cap is reported like a catalog group over it
+        path = tmp_path / "s5.grp"
+        path.write_text("degree: 5\ngen: (1,2)\ngen: (1,2,3,4,5)\n")
+        code, out, err = run(capsys, "verify", "--file", str(path), "--cap", "100")
+        assert (code, err) == (0, "")
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"group": str(path), "error": "group has more than 100 elements, exceeds cap 100; raise the cap to proceed"}
+        ]
+
 
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
@@ -324,24 +342,6 @@ def test_verify_digest_at_every_jobs_count(capsys, jobs):
         "d7cd81d43ca7b60f32ec9b36870715cf52617477fc2b9916ef977bfd4da957e6"
     )
     _assert_no_child_left()
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["info", "--catalog", "sl23_example"],
-        ["graph", "--catalog", "alternating", "--n", "7", "--k", "2", "--format", "graphml"],
-        ["verify", "--catalog-all", "--stable", "--jobs", "1"],
-    ],
-    ids=["info", "graph", "verify"],
-)
-def test_runs_construct_no_chain(capsys, tmp_path, count_chains, argv):
-    # an in-cap group is enumerated and answered from its element table alone
-    built = count_chains()
-    if argv[0] == "graph":
-        argv = argv + ["--out", str(tmp_path / "out.graphml")]
-    assert run(capsys, *argv)[0] == 0
-    assert built == []
 
 
 class TestCsv:

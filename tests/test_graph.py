@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import order, two_generated_order
 from triprime import graph as graph_module
 from triprime import groups as groups_module
 from triprime.graph import (
@@ -21,7 +22,7 @@ from triprime.graph import (
     neighbor_order_profile,
     rep_distances,
 )
-from triprime.groups import PermutationGroup, catalog, direct_product, standard_catalog, two_generated_order
+from triprime.groups import PermutationGroup, catalog, direct_product, standard_catalog
 from triprime.perm import Permutation, parse_cycles
 from triprime.primes import prime_factors
 
@@ -275,7 +276,7 @@ def small_groups(draw):
     n = draw(st.integers(min_value=2, max_value=8))
     gens = []
     for g in draw(st.lists(st.permutations(range(n)).map(Permutation), min_size=2, max_size=4)):
-        if PermutationGroup(gens + [g]).order() <= 200:
+        if order(PermutationGroup(gens + [g])) <= 200:
             gens.append(g)
     return PermutationGroup(gens)
 
@@ -647,19 +648,6 @@ class TestSubgroup:
         expected = np.arange(len(table)) == 0
         assert np.array_equal(table.subgroup([]), expected)
         assert np.array_equal(table.subgroup([0]), expected)
-
-    @pytest.mark.parametrize("name, n, k", [("sl23_example", None, 3), ("psl27", None, 3), ("alternating", 7, 2)])
-    def test_build_constructs_no_chain(self, count_chains, name, n, k):
-        built = count_chains()
-        table = catalog(name, n).element_table()
-        graph = build_graph(table, k=k)
-        assert graph.chain_builds > 0 and built == []
-
-    @pytest.mark.parametrize("name, solvable", [("sl23_example", True), ("psl27", False)])
-    def test_solvability_constructs_no_chain(self, count_chains, name, solvable):
-        built = count_chains()
-        table = catalog(name).element_table()
-        assert groups_module.is_solvable(table) is solvable and built == []
 
 
 class TestCertificates:

@@ -1,21 +1,25 @@
+import ast
 import hashlib
 import pickle
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracle
+from oracle import StabilizerChain, order
 from test_graph import small_groups
+from triprime import groups
 from triprime.groups import (
     OrderCapExceeded,
     _affine,
     _beside,
     PermutationGroup,
-    StabilizerChain,
     catalog,
     centralizer_elements,
     derived_subgroup,
@@ -73,21 +77,21 @@ def brute_derived(elements):
 class TestStabilizerChain:
     def test_s5_order(self):
         g = PermutationGroup([from_cycles([(0, 1)], 5), from_cycles([tuple(range(5))], 5)])
-        assert g.order() == 120
+        assert order(g) == 120
 
     def test_single_15_cycle(self):
         g = PermutationGroup([from_cycles([tuple(range(15))], 15)])
-        assert g.order() == 15
+        assert order(g) == 15
 
     def test_d30_order(self):
-        assert catalog("dihedral", 30).order() == 30
+        assert order(catalog("dihedral", 30)) == 30
 
     def test_trivial_group(self):
-        assert PermutationGroup([identity(4)]).order() == 1
+        assert order(PermutationGroup([identity(4)])) == 1
 
     def test_chain_invariants(self):
         g = catalog("symmetric", 5)
-        chain = g.chain
+        chain = StabilizerChain(g.generators, g.degree)
         prod = 1
         for trans in chain.transversals:
             prod *= len(trans)
@@ -97,7 +101,8 @@ class TestStabilizerChain:
             assert residue.is_identity()
 
     def test_base_points_are_smallest_moved(self):
-        chain = catalog("symmetric", 4).chain
+        g = catalog("symmetric", 4)
+        chain = StabilizerChain(g.generators, g.degree)
         assert chain.base[0] == 0
 
     @pytest.mark.parametrize(
@@ -116,7 +121,7 @@ class TestStabilizerChain:
         ids=lambda g: g.name,
     )
     def test_order_matches_exhaustive_closure(self, group):
-        assert group.order() == closure_order(group.generators)
+        assert order(group) == closure_order(group.generators)
 
     @pytest.mark.parametrize("name,n", [("symmetric", 5), ("sl23_example", None), ("symmetric", 8)])
     def test_each_schreier_generator_sifted_once(self, monkeypatch, name, n):
@@ -154,7 +159,7 @@ class TestChainAgainstClosure:
         elements = closure_elements(gens)
         chain = StabilizerChain(gens)
         assert chain.order() == len(elements)
-        assert two_generated_order(gens[0], gens[1]) == closure_order(gens[:2])
+        assert oracle.two_generated_order(gens[0], gens[1]) == closure_order(gens[:2])
         n = len(gens[0])
         samples = data.draw(st.lists(st.permutations(range(n)).map(Permutation), max_size=4))
         samples += data.draw(st.lists(st.sampled_from(sorted(elements)), max_size=4))
@@ -227,26 +232,30 @@ class TestEnumeration:
         assert len(enumerate_elements(catalog("symmetric", 4), cap=24).elements) == 24
 
     @pytest.mark.parametrize(
-        "group, cap",
+        "group, cap, named, message",
         [
-            (catalog("symmetric", 4), 23),
-            (PermutationGroup([], degree=3), 0),
-            (PermutationGroup(catalog("symmetric", 4).generators), 23),
+            (catalog("symmetric", 4), 23, 24, "group order 24 exceeds cap 23; raise the cap to proceed"),
+            (PermutationGroup([], degree=3), 0, None,
+             "group has more than 0 elements, exceeds cap 0; raise the cap to proceed"),
+            (PermutationGroup(catalog("symmetric", 4).generators), 23, None,
+             "group has more than 23 elements, exceeds cap 23; raise the cap to proceed"),
         ],
         ids=["s4", "trivial", "s4-chain"],
     )
-    def test_cap_one_below_order(self, group, cap):
+    def test_cap_one_below_order(self, group, cap, named, message):
         # the trivial group finds no new element: only the identity exceeds cap 0;
-        # with no known order, the chain names the order
+        # with no known order, the refusal names none
         with pytest.raises(OrderCapExceeded) as exc:
             enumerate_elements(group, cap=cap)
-        assert exc.value.order == cap + 1
+        assert exc.value.order == named
+        assert str(exc.value) == message
 
-    def test_cap_exceeded_pickles(self):
-        exc = pickle.loads(pickle.dumps(OrderCapExceeded(120, 100)))
+    @pytest.mark.parametrize("order, cap", [(120, 100), (None, 100)])
+    def test_cap_exceeded_pickles(self, order, cap):
+        exc = pickle.loads(pickle.dumps(OrderCapExceeded(order, cap)))
         assert isinstance(exc, OrderCapExceeded)
-        assert (exc.order, exc.cap) == (120, 100)
-        assert str(exc) == str(OrderCapExceeded(120, 100))
+        assert (exc.order, exc.cap) == (order, cap)
+        assert str(exc) == str(OrderCapExceeded(order, cap))
 
     def test_identity_first(self):
         table = catalog("dihedral", 30).element_table()
@@ -273,23 +282,31 @@ class TestEnumeration:
             assert table.primes_of[i] == (set() if o == 1 else {p for p in (2, 3, 5) if o % p == 0})
 
 
+# the package's listing and the oracle's chain answer every case alike
+BOTH_ORDERS = (two_generated_order, oracle.two_generated_order)
+
+
 class TestTwoGeneratedOrder:
     def test_identity_pair(self):
-        assert two_generated_order(identity(5), identity(5)) == 1
+        for pair_order in BOTH_ORDERS:
+            assert pair_order(identity(5), identity(5)) == 1
 
     def test_s5_generators(self):
         x = from_cycles([(0, 1)], 5)
         y = from_cycles([tuple(range(5))], 5)
-        assert two_generated_order(x, y) == 120
+        for pair_order in BOTH_ORDERS:
+            assert pair_order(x, y) == 120
 
     def test_d30_generators(self):
         g = catalog("dihedral", 30)
         a, b = g.generators
-        assert two_generated_order(b, a) == 30
+        for pair_order in BOTH_ORDERS:
+            assert pair_order(b, a) == 30
 
     def test_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            two_generated_order(identity(3), identity(4))
+        for pair_order in BOTH_ORDERS:
+            with pytest.raises(ValueError):
+                pair_order(identity(3), identity(4))
 
     @pytest.mark.parametrize(
         "group",
@@ -302,8 +319,10 @@ class TestTwoGeneratedOrder:
         for _ in range(25):
             x, y, g = (rng.choice(table.elements) for _ in range(3))
             n = two_generated_order(x, y)
-            assert two_generated_order(y, x) == n
-            assert two_generated_order(x.conjugate(g), y.conjugate(g)) == n
+            for pair_order in BOTH_ORDERS:
+                assert pair_order(x, y) == n
+                assert pair_order(y, x) == n
+                assert pair_order(x.conjugate(g), y.conjugate(g)) == n
 
 
 class TestConjugacyClasses:
@@ -460,37 +479,37 @@ class TestDerivedAndSolvable:
 class TestCatalog:
     def test_dihedral_30(self):
         g = catalog("dihedral", 30)
-        assert g.order() == 30
+        assert order(g) == 30
         assert g.generators[0].order() == 15
 
     def test_sl23_example(self):
         g = catalog("sl23_example")
-        assert g.order() == 1512  # 9 * 7 * 24 = 2^3 * 3^3 * 7
+        assert order(g) == 1512  # 9 * 7 * 24 = 2^3 * 3^3 * 7
 
     def test_direct_product_of_coprime_cyclics(self):
         g = direct_product(catalog("cyclic", 3), catalog("cyclic", 5))
-        assert g.order() == 15
+        assert order(g) == 15
         table = g.element_table()
         assert 15 in table.order_of
 
     def test_psl27(self):
-        assert catalog("psl27").order() == 168
+        assert order(catalog("psl27")) == 168
 
     def test_sl23(self):
         g = catalog("sl23")
-        assert g.order() == 24
+        assert order(g) == 24
         table = g.element_table()
         assert Counter(table.order_of)[2] == 1  # unique involution
 
     def test_alternating_5(self):
-        assert catalog("alternating", 5).order() == 60
+        assert order(catalog("alternating", 5)) == 60
 
     def test_alternating_even_degree(self):
-        assert catalog("alternating", 6).order() == 360
+        assert order(catalog("alternating", 6)) == 360
 
     def test_alternating_small_degrees(self):
-        assert catalog("alternating", 1).order() == 1
-        assert catalog("alternating", 2).order() == 1
+        assert order(catalog("alternating", 1)) == 1
+        assert order(catalog("alternating", 2)) == 1
         for n in (0, -5):
             with pytest.raises(ValueError):
                 catalog("alternating", n)
@@ -588,7 +607,7 @@ def test_catalog_generators_are_pinned():
 def test_known_orders_match_chains_and_tables():
     # the catalog's closed formulas against the chain and, within the cap, the listing
     for g in _catalog_sample():
-        assert g.known_order == g.order(), g.name
+        assert g.known_order == order(g), g.name
         if g.known_order <= 20_000:
             assert len(enumerate_elements(g, cap=20_000)) == g.known_order, g.name
 
@@ -603,13 +622,38 @@ def test_group_files_know_no_order():
     assert parse_group_text("degree: 5\ngen: (1,2)\ngen: (1,2,3,4,5)\n").known_order is None
 
 
+def _chain_names(source):
+    """The identifiers, attributes, definitions, imports and string constants
+    in source that name a stabilizer chain or its sift."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        for field in ("id", "attr", "name", "asname", "arg", "value"):
+            value = getattr(node, field, None)
+            if isinstance(value, str) and value in {"StabilizerChain", "sift", "chain"}:
+                names.add(value)
+    return names
+
+
+def test_package_builds_no_stabilizer_chain():
+    # every order is the length of a listing: no module defines, imports or calls a chain
+    assert _chain_names("from .groups import StabilizerChain\ng.chain.sift(p)\n") == {
+        "StabilizerChain", "chain", "sift"
+    }
+    sources = sorted(Path(groups.__file__).parent.glob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        assert _chain_names(path.read_text(encoding="utf-8")) == set(), path.name
+    assert not hasattr(PermutationGroup, "order")
+    assert not hasattr(catalog("cyclic", 6), "order")
+
+
 class TestGroupFiles:
     def test_round_trip(self, tmp_path):
         text = "# comment\ndegree: 5\ngen: (1,2)\ngen: (1,2,3,4,5)\n"
         path = tmp_path / "s5.grp"
         path.write_text(text)
         g = load_group(path)
-        assert g.order() == 120
+        assert order(g) == 120
 
     def test_malformed_cycle_names_line(self):
         with pytest.raises(ValueError, match=":3:"):
@@ -629,4 +673,4 @@ class TestGroupFiles:
 
     def test_blank_lines_and_comments_ignored(self):
         g = parse_group_text("\n# header\ndegree: 3\n\ngen: (1,2,3)  # rotation\n")
-        assert g.order() == 3
+        assert order(g) == 3
