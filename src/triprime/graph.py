@@ -140,8 +140,9 @@ def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced"):
 
 
 def _row(table, k, prime_mask, rep):
-    """The adjacency row of one class representative r, over every element,
-    with its count of exact subgroup orders.
+    """(row, builds, twins): the adjacency row of one class representative
+    r over every element, its count of exact subgroup orders, and the
+    elements it seeds: r alone when central, else the generators of <r>.
 
     <r, j> is the same subgroup for every j in one orbit of j -> r*j,
     j -> j*r and j -> j^-1, so the row is constant on these orbits. An orbit
@@ -158,7 +159,7 @@ def _row(table, k, prime_mask, rep):
     reach = (prime_mask | prime_mask[:, rep, None]).sum(axis=0) >= k
     builds = 0
     if _is_central(table, rep):
-        row = reach
+        row, twins = reach, [rep]
     else:
         R, L = table.mul_maps(rep)
         commuting = R == L
@@ -170,9 +171,9 @@ def _row(table, k, prime_mask, rep):
         for m in np.flatnonzero(undecided):
             hit[m], b = _adjacent_counted(table, rep, int(m), k)
             builds += b
-        row = hit[label]
+        row, twins = hit[label], _cyclic_generators(R, table.order_of[rep])
     row[rep] = False
-    return row, builds
+    return row, builds, twins
 
 
 def _open_orbits(label, reach, commuting):
@@ -203,10 +204,10 @@ def _normalizer_conjugations(table, rep, R, L):
 
 
 def _build_reduced(table, k, adjacency):
-    # <r^m, j> = <r, j> when gcd(m, |r|) = 1, so each such power y of a
-    # decided r takes r's row, with entries y and r swapped, and no class
-    # holding one is decided again. The row of x^g at position j^g equals
-    # the row of x at position j: conj_maps[t] sends x to x^g,
+    # <r^m, j> = <r, j> when gcd(m, |r|) = 1, so each twin y that _row
+    # names for a decided r takes r's row, with entries y and r swapped, and
+    # no class holding one is decided again. The row of x^g at position j^g
+    # equals the row of x at position j: conj_maps[t] sends x to x^g,
     # g = generators[t], so a filled row x fills the row of its image,
     # gathered through the inverse map, until every class is filled from
     # its seed
@@ -218,17 +219,17 @@ def _build_reduced(table, k, adjacency):
     for rep in table.class_reps:
         if seeded[table.class_of[rep]]:
             continue
-        row, b = _row(table, k, prime_mask, rep)
+        row, b, twins = _row(table, k, prime_mask, rep)
         builds += b
-        for y in [rep] if _is_central(table, rep) else _cyclic_generators(table, rep):
+        for y in twins:
             if not seeded[table.class_of[y]]:
                 seeded[table.class_of[y]] = filled[y] = True
                 adjacency[y] = row
                 adjacency[y, y] = False
                 adjacency[y, rep] = row[y]
+    inverses = [np.argsort(m) for m in table.conj_maps]  # row m[x] at i is row x at u[i]
     while not filled.all():
-        for m in table.conj_maps:
-            u = np.argsort(m)  # m^-1: the row of m[x] at i is that of x at u[i]
+        for m, u in zip(table.conj_maps, inverses):
             for x in np.flatnonzero(filled & ~filled[m]):
                 adjacency[m[x]] = adjacency[x][u]
                 filled[m[x]] = True
@@ -240,11 +241,9 @@ def _is_central(table, rep):
     return all(m[rep] == rep for m in table.conj_maps)
 
 
-def _cyclic_generators(table, rep):
+def _cyclic_generators(R, order):
     """The indices of r^m for gcd(m, |r|) = 1, r first: the generators of
     <r>, walked from the identity along R = mul_maps(r)[0], j -> j*r."""
-    R, _ = table.mul_maps(rep)
-    order = table.order_of[rep]
     powers = [0]
     for _ in range(order - 1):
         powers.append(int(R[powers[-1]]))
@@ -308,27 +307,27 @@ def rep_distances(graph):
     Twins s and t, whose rows agree once entries s and t are cleared, are at
     the same distance from every other vertex, so s reuses the row of an
     earlier BFS'd twin t, with dist[s] = 0 and dist[t] = d_t(s). Generators
-    of one cyclic subgroup are twins. Candidates share the order and the
-    degree of s, and each is certified on the adjacency rows, so any graph
-    gets exact rows; every other source runs _bfs_levels.
+    of one cyclic subgroup are twins. As A is symmetric with an empty
+    diagonal, twins are exactly the sources with equal open neighbourhoods
+    A[s] or equal closed ones A[s] + s: that equality certifies each reuse on
+    any graph, and every other source runs _bfs_levels.
     """
     A = graph.adjacency
     sources = [r for r in graph.table.class_reps if not graph.isolated[r]]
     dist = np.empty((len(sources), graph.n), dtype=np.int32)
-    searched = {}  # (order, degree) -> positions in sources of BFS'd rows
+    searched = {}  # A[t] and A[t] + t as bytes -> position of BFS'd t; no A[s] equals an A[t] + t
     for i, s in enumerate(sources):
-        key = (graph.table.order_of[s], int(np.count_nonzero(A[s])))
-        for j in searched.get(key, ()):
-            t = sources[j]
-            differ = A[s] != A[t]
-            differ[[s, t]] = False
-            if not differ.any():
-                dist[i] = dist[j]
-                dist[i, s], dist[i, t] = 0, dist[j, s]
-                break
-        else:
+        closed = A[s].copy()
+        closed[s] = True
+        keys = (A[s].tobytes(), closed.tobytes())
+        j = next((searched[key] for key in keys if key in searched), None)
+        if j is None:
             dist[i] = _bfs_levels(graph, s)
-            searched.setdefault(key, []).append(i)
+            searched.update(dict.fromkeys(keys, i))
+        else:
+            t = sources[j]
+            dist[i] = dist[j]
+            dist[i, s], dist[i, t] = 0, dist[j, s]
     return sources, dist
 
 

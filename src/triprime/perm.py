@@ -143,11 +143,12 @@ def parse_cycles(text, degree):
     """Parse 1-based cycle notation, e.g. "(1,2,3)(4,5)"; "()" is the identity.
 
     Grammar: permutation := "()" | cycle+ ; cycle := "(" int ("," int)+ ")".
-    Whitespace between tokens is ignored. Raises ValueError on malformed text,
-    repeated points, or points outside 1..degree.
+    Whitespace between tokens is ignored; within a number, as in "1 0", it is
+    malformed. Raises ValueError on malformed text, repeated points, or points
+    outside 1..degree.
     """
     stripped = re.sub(r"\s+", "", text)
-    if not _PERMUTATION_RE.fullmatch(stripped):
+    if re.search(r"\d\s+\d", text) or not _PERMUTATION_RE.fullmatch(stripped):
         raise ValueError(f"malformed cycle notation: {text!r}")
     bodies = re.findall(r"[\d,]+", stripped)
     cycles = [tuple(int(tok) - 1 for tok in body.split(",")) for body in bodies]

@@ -62,11 +62,12 @@ class TestInfo:
             ("degree: 5\ncolour: red\n", "{path}:2: unknown key 'colour'"),
             ("# comment only\n", "{path}: missing 'degree:' line"),
             ("degree: 5\n", "{path}: no generators"),
+            ("degree: 12\ngen: (1 2,3)\n", "{path}:2: malformed cycle notation: '(1 2,3)'"),
             (("cyclic", "0"), "cyclic group needs n >= 1"),
             (("symmetric", "0"), "symmetric group needs n >= 1"),
         ],
         ids=["no-key", "duplicate-degree", "bad-degree", "unknown-key", "no-degree", "no-gen",
-             "cyclic-0", "symmetric-0"],
+             "digits-split-by-space", "cyclic-0", "symmetric-0"],
     )
     def test_bad_input_is_one_error_line(self, capsys, tmp_path, source, message):
         # source is a group file's text, or a catalog (name, n)

@@ -431,6 +431,17 @@ class TestReducedBuild:
         assert len(central) > 1
         assert labelled == [r for r in decided_reps(table) if r not in central]
 
+    def test_catalog_build_letters_pinned(self, count_letters):
+        # each decided row composes r's maps once: its twins are read off
+        # the same R, not composed again
+        letters = []
+        for group in standard_catalog():
+            table = group.element_table()
+            counted = count_letters(table)
+            build_graph(table, k=3)
+            letters += counted
+        assert len(letters) == 425
+
     def test_cyclic_210_build_composes_few_letters(self, count_letters):
         table = catalog("cyclic", 210).element_table()
         letters = count_letters(table)
@@ -499,13 +510,20 @@ def naive_row(table, r, k):
 
 def check_rep_rows(table, k):
     # each representative row is complete on its own: no entry waits for
-    # the row of another class
+    # the row of another class; it seeds r alone when r is central, and
+    # otherwise each r^m with gcd(m, |r|) = 1, r first, by permutation powers
     primes = prime_factors(len(table))
     prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes], dtype=bool)
     prime_mask = prime_mask.reshape(len(primes), len(table))  # (0, 1) for the trivial group
     for r in table.class_reps:
-        row, _ = graph_module._row(table, k, prime_mask, r)
+        row, _, twins = graph_module._row(table, k, prime_mask, r)
         assert np.array_equal(row, naive_row(table, r, k)), r
+        x = table.elements[r]
+        if all(x * y == y * x for y in table.elements):
+            assert twins == [r], r
+        else:
+            o = x.order()
+            assert twins == [table.index_of[x**m] for m in range(1, o) if gcd(m, o) == 1], r
 
 
 class TestRepresentativeRows:
@@ -595,9 +613,8 @@ class TestRepDistances:
     def test_random_groups_match_bfs(self, group, k):
         check_rep_distances(build_graph(group.element_table(), k=k))
 
-    def test_twins_share_one_pass(self, monkeypatch):
-        # dihedral(210): the rotations of each order generate one subgroup
-        graph = build_graph(catalog("dihedral", 210).element_table())
+    def count_passes(self, monkeypatch, graph):
+        # (BFS passes, sources, dist) of one rep_distances call
         calls = []
         original = graph_module._bfs_levels
 
@@ -606,8 +623,28 @@ class TestRepDistances:
             return original(g, source)
 
         monkeypatch.setattr(graph_module, "_bfs_levels", counted)
-        sources, _ = rep_distances(graph)
-        assert len(calls) < len(sources)
+        sources, dist = rep_distances(graph)
+        monkeypatch.undo()
+        return len(calls), sources, dist
+
+    def test_twins_share_one_pass(self, monkeypatch):
+        # dihedral(210): the rotations of each order generate one subgroup
+        graph = build_graph(catalog("dihedral", 210).element_table())
+        passes, sources, _ = self.count_passes(monkeypatch, graph)
+        assert passes < len(sources)
+
+    def test_catalog_passes_pinned(self, monkeypatch):
+        # one pass per class of twins, whatever the orders of its members
+        graphs = [build_graph(g.element_table(), k=3) for g in standard_catalog()]
+        assert sum(self.count_passes(monkeypatch, graph)[0] for graph in graphs) == 83
+
+    def test_cyclic_210_twins_of_unequal_orders_share_one_pass(self, monkeypatch):
+        # at k = 3 the elements of orders 30 and 42 are each adjacent to
+        # every other element: twins of unequal orders
+        graph = build_graph(catalog("cyclic", 210).element_table(), k=3)
+        passes, sources, dist = self.count_passes(monkeypatch, graph)
+        assert passes == 12
+        assert np.array_equal(dist, distance_rows(graph, sources))
 
 
 class TestSubgroup:

@@ -195,6 +195,12 @@ class TestTextFormat:
         assert parse_cycles("( )", 5) == parse_cycles("()", 5)
         assert parse_cycles("( 1,2 )\n(3,\t4)", 5) == parse_cycles("(1,2)(3,4)", 5)
 
+    def test_whitespace_within_a_number_rejected(self):
+        # "1 0" is not read as 10, nor "1 2" as 12
+        for bad in ["(1 0,2)", "(1,2 3)", "(1\t2,3)(4,5)"]:
+            with pytest.raises(ValueError, match=r"^malformed cycle notation: "):
+                parse_cycles(bad, 30)
+
     def test_format_identity(self):
         assert format_cycles(identity(7)) == "()"
 
