@@ -40,14 +40,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _natural(text):
+    """int(text) for ASCII digits alone: int() also reads signs, '_', spaces, other digits."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+    if text.isascii() and text.isdigit() and int(text):
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _resolve_group(args):
@@ -272,7 +275,7 @@ def cmd_verify(args):
 
 _OPTIONS = {
     "--catalog": dict(metavar="NAME", help="catalog group name"),
-    "--n": dict(type=int, help="parameter for parametric catalog groups"),
+    "--n": dict(type=_natural, help="parameter for parametric catalog groups"),
     "--file": dict(metavar="PATH", help="group file (degree: / gen: lines)"),
     "--catalog-all": dict(action="store_true", help="verify the whole catalog"),
     "x": dict(help="first element in cycle notation"),

@@ -144,17 +144,17 @@ def _row(table, k, prime_mask, rep):
     r over every element, its count of exact subgroup orders, and the
     elements it seeds: r alone when central, else the generators of <r>.
 
-    <r, j> is the same subgroup for every j in one orbit of j -> r*j,
-    j -> j*r and j -> j^-1, so the row is constant on these orbits. An orbit
-    is adjacent when the primes of r and of one member already reach k, and
-    otherwise not when its members commute with r (R == L): <r, j> is then
-    abelian, with the primes of r and j. A central r, alone in its class,
-    commutes with every j, so its row is read off the primes with no orbits.
-    When some orbit is left open, the orbits are merged further under
-    conjugation by N_G(<r>): for g there, <r, j^g> = <r, j>^g has the order
-    of <r, j>, and conjugation by g keeps classes, prime sets and commuting
-    with r, since r^g generates <r>. Every merged orbit still open is decided
-    once, at its least index.
+    <r, j> is the same subgroup for every j in one orbit of j -> r*j, j -> j*r
+    and j -> j^-1, so the row is constant on these orbits, which R and
+    table.inv label alone, as r*j = (j^-1 * r^-1)^-1. An orbit is adjacent
+    when the primes of r and of one member already reach k, and otherwise not
+    when its members commute with r (R == L): <r, j> is then abelian, with the
+    primes of r and j. A central r, alone in its class, commutes with every j,
+    so its row is read off the primes with no orbits. When some orbit is left
+    open, the orbits are merged further under conjugation by N_G(<r>): for g
+    there, <r, j^g> = <r, j>^g has the order of <r, j>, and conjugation by g
+    keeps classes, prime sets and commuting with r, since r^g generates <r>.
+    Every merged orbit still open is decided once, at its least index.
     """
     reach = (prime_mask | prime_mask[:, rep, None]).sum(axis=0) >= k
     builds = 0
@@ -163,7 +163,7 @@ def _row(table, k, prime_mask, rep):
     else:
         R, L = table.mul_maps(rep)
         commuting = R == L
-        label = _orbit_labels(np.arange(len(R)), [R, L, table.inv])
+        label = _orbit_labels(np.arange(len(R)), [R, table.inv])
         hit, undecided = _open_orbits(label, reach, commuting)
         if undecided.any():
             label = _orbit_labels(label, _normalizer_conjugations(table, rep, R, L))
@@ -189,9 +189,9 @@ def _open_orbits(label, reach, commuting):
 def _normalizer_conjugations(table, rep, R, L):
     """The conjugations j -> g^-1 * j * g by greedy generators g of N_G(<r>).
 
-    N_G(<r>) holds the g with g^-1 * r * g a power r^m, that is with
-    r * g = g * r^m: L == R^m on the maps of r. Its generators are those of
-    table.span. Conjugation by them permutes the orbits of r*j, j*r and j^-1.
+    N_G(<r>) holds the g with g^-1 * r * g = r^m, that is r * g = g * r^m: L == R^m on
+    the maps of r. Its generators are those of table.span. Conjugation by g permutes the
+    orbits of r*j, j*r and j^-1; it is R_g[inv[R_g[inv]]], g^-1 * j * g = (j^-1 * g)^-1 * g.
     """
     normalizer = np.zeros(len(R), dtype=bool)
     power = R
@@ -199,8 +199,7 @@ def _normalizer_conjugations(table, rep, R, L):
         normalizer |= L == power
         power = R[power]
     chosen, _ = table.span(normalizer)
-    # right[L^-1]: j -> g^-1 * j * g
-    return [right[np.argsort(left)] for right, left in map(table.mul_maps, chosen)]
+    return [right[table.inv[right[table.inv]]] for right, _ in map(table.mul_maps, chosen)]
 
 
 def _build_reduced(table, k, adjacency):

@@ -83,11 +83,10 @@ class ElementTable:
     enumeration first reached elements[i] as elements[p] * generators[t]
     (parents first). The np.intp index arrays below are read off the
     enumeration's products along parents, with no permutation product: for
-    g = generators[t], rmul[t][i], lmul[t][i] and conj_maps[t][i] are the
-    indices of elements[i] * g, g * elements[i] and g^-1 * elements[i] * g,
-    and inv[i] that of elements[i]^-1. class_of[i] is the class of
-    elements[i] and class_reps[c] the least index of class c, class ids
-    ordered by representative.
+    g = generators[t], rmul[t][i] and conj_maps[t][i] are the indices of
+    elements[i] * g and g^-1 * elements[i] * g, and inv[i] that of
+    elements[i]^-1. class_of[i] is the class of elements[i] and class_reps[c]
+    the least index of class c, class ids ordered by representative.
     """
 
     degree: int
@@ -97,7 +96,6 @@ class ElementTable:
     order_of: list
     primes_of: list
     rmul: list
-    lmul: list
     inv: np.ndarray
     parents: list
     class_of: list
@@ -119,12 +117,14 @@ class ElementTable:
         return w[::-1]
 
     def mul_maps(self, i):
-        """(R, L): R[j] is the index of elements[j] * elements[i] and L[j]
-        that of elements[i] * elements[j], composed along word(i)."""
-        R = L = np.arange(len(self.elements))
+        """(R, L): R[j] is the index of elements[j] * x, x = elements[i], composed along word(i),
+        and L[j] that of x * elements[j] = (elements[j]^-1 * x^-1)^-1, so L = inv[R^-1[inv]]."""
+        R = np.arange(len(self.elements))
         for t in self.word(i):
-            R, L = self.rmul[t][R], L[self.lmul[t]]
-        return R, L
+            R = self.rmul[t][R]
+        unright = np.empty_like(R)  # unright[j]: index of elements[j] * x^-1
+        unright[R] = np.arange(len(R))
+        return R, self.inv[unright[self.inv]]
 
     def subgroup(self, gens):
         """Membership mask of the subgroup generated by the element indices
@@ -214,7 +214,6 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
         order_of=[orders[c] for c in class_of],
         primes_of=[primes[c] for c in class_of],
         rmul=rmul,
-        lmul=[np.array(m, dtype=np.intp) for m in lmul],
         inv=np.array(inv, dtype=np.intp),
         parents=parents,
         class_of=class_of,
@@ -489,10 +488,9 @@ def parse_group_text(text, source="<string>"):
         if key == "degree":
             if degree is not None:
                 raise ValueError(f"{source}:{lineno}: duplicate degree line")
-            try:
-                degree = int(value)
-            except ValueError:
-                raise ValueError(f"{source}:{lineno}: bad degree {value!r}") from None
+            if not (value.isascii() and value.isdigit()):  # int() also reads _, signs, other digits
+                raise ValueError(f"{source}:{lineno}: bad degree {value!r}")
+            degree = int(value)
             if not 1 <= degree <= MAX_DEGREE:
                 raise ValueError(f"{source}:{lineno}: degree must be between 1 and {MAX_DEGREE}")
         elif key == "gen":

@@ -10,7 +10,7 @@ import re
 
 MAX_DEGREE = 1024
 
-_PERMUTATION_RE = re.compile(r"\(\)|(?:\(\d+(?:,\d+)+\))+")
+_PERMUTATION_RE = re.compile(r"\(\)|(?:\([0-9]+(?:,[0-9]+)+\))+")
 
 
 class Permutation(tuple):
@@ -142,15 +142,15 @@ def format_cycles(p):
 def parse_cycles(text, degree):
     """Parse 1-based cycle notation, e.g. "(1,2,3)(4,5)"; "()" is the identity.
 
-    Grammar: permutation := "()" | cycle+ ; cycle := "(" int ("," int)+ ")".
-    Whitespace between tokens is ignored; within a number, as in "1 0", it is
-    malformed. Raises ValueError on malformed text, repeated points, or points
-    outside 1..degree.
+    Grammar: permutation := "()" | cycle+ ; cycle := "(" int ("," int)+ ")",
+    an int being ASCII digits. Whitespace between tokens is ignored; within a
+    number, as in "1 0", it is malformed. Raises ValueError on malformed
+    text, repeated points, or points outside 1..degree.
     """
     stripped = re.sub(r"\s+", "", text)
-    if re.search(r"\d\s+\d", text) or not _PERMUTATION_RE.fullmatch(stripped):
+    if re.search(r"[0-9]\s+[0-9]", text) or not _PERMUTATION_RE.fullmatch(stripped):
         raise ValueError(f"malformed cycle notation: {text!r}")
-    bodies = re.findall(r"[\d,]+", stripped)
+    bodies = re.findall(r"[0-9,]+", stripped)
     cycles = [tuple(int(tok) - 1 for tok in body.split(",")) for body in bodies]
     for cyc in cycles:
         for a in cyc:

@@ -46,17 +46,18 @@ def sl23x():
 @pytest.fixture
 def count_letters():
     """A function that starts the count on a table: it returns a list that
-    gains an entry for each mul_maps letter composed, one read of table.lmul."""
+    gains the letters of word(i) for each call table.mul_maps(i), one per
+    map composed."""
 
     def start(table):
         letters = []
+        mul_maps = table.mul_maps
 
-        class CountedMaps(list):
-            def __getitem__(self, t):
-                letters.append(t)
-                return super().__getitem__(t)
+        def counted(i):
+            letters.extend(table.word(i))
+            return mul_maps(i)
 
-        table.lmul = CountedMaps(table.lmul)
+        table.mul_maps = counted
         return letters
 
     return start

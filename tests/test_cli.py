@@ -63,11 +63,12 @@ class TestInfo:
             ("# comment only\n", "{path}: missing 'degree:' line"),
             ("degree: 5\n", "{path}: no generators"),
             ("degree: 12\ngen: (1 2,3)\n", "{path}:2: malformed cycle notation: '(1 2,3)'"),
+            ("degree: 1_20\ngen: (1,2)\n", "{path}:1: bad degree '1_20'"),
             (("cyclic", "0"), "cyclic group needs n >= 1"),
             (("symmetric", "0"), "symmetric group needs n >= 1"),
         ],
         ids=["no-key", "duplicate-degree", "bad-degree", "unknown-key", "no-degree", "no-gen",
-             "digits-split-by-space", "cyclic-0", "symmetric-0"],
+             "digits-split-by-space", "degree-underscore", "cyclic-0", "symmetric-0"],
     )
     def test_bad_input_is_one_error_line(self, capsys, tmp_path, source, message):
         # source is a group file's text, or a catalog (name, n)
@@ -382,6 +383,26 @@ def test_non_positive_counts_rejected(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "flag, text",
+    [("--k", "+3"), ("--k", "\u0663"), ("--cap", "1_000"), ("--cap", " 100"), ("--jobs", "\u0662"),
+     ("--jobs", "\uff12")],
+)
+def test_counts_are_ascii_digits(capsys, flag, text):
+    # int() reads each of these; a count is ASCII digits alone
+    command = "verify" if flag == "--jobs" else "graph"
+    code, out, err = run(capsys, command, "--catalog", "cyclic", "--n", "6", flag, text)
+    assert (code, out) == (2, "")
+    assert err == f"error: argument {flag}: expected a positive integer, got {text!r}\n"
+
+
+@pytest.mark.parametrize("text", ["\u0661\u0662", "\uff11\uff12", "+6", "1_2", "-5"])
+def test_n_is_ascii_digits(capsys, text):
+    code, out, err = run(capsys, "info", "--catalog", "cyclic", "--n", text)
+    assert (code, out) == (2, "")
+    assert err == f"error: argument --n: expected a non-negative integer, got {text!r}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["info", "--catalog", "alternating", "--n", "-5"],
@@ -584,7 +605,7 @@ def test_a7_k2_graphml_is_pinned(monkeypatch):
 _SPEC_ACTIONS = [
     (("-h", "--help"), "help", argparse.SUPPRESS, None, "show this help message and exit"),
     (("--catalog",), "catalog", None, None, "catalog group name"),
-    (("--n",), "n", None, "int", "parameter for parametric catalog groups"),
+    (("--n",), "n", None, "_natural", "parameter for parametric catalog groups"),
     (("--file",), "file", None, None, "group file (degree: / gen: lines)"),
 ]
 _CAP = (("--cap",), "cap", 20000, "_positive_int", None)

@@ -397,9 +397,20 @@ class TestReducedBuild:
             assert list(R) == [table.index_of[y * x] for y in table.elements]
             assert list(L) == [table.index_of[x * y] for y in table.elements]
 
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(group=small_groups())
+    def test_mul_maps_match_products_at_every_index(self, group):
+        # R is composed along the word, and L is derived from R and inv
+        table = group.element_table()
+        index_of, elements = table.index_of, table.elements
+        for i, x in enumerate(elements):
+            R, L = table.mul_maps(i)
+            assert list(R) == [index_of[y * x] for y in elements]
+            assert list(L) == [index_of[x * y] for y in elements]
+
     @pytest.mark.parametrize("name", ["dihedral", "psl27", "sl23_example"])
     def test_conj_map_matches_products(self, name):
-        # the normalizer merge conjugates along R[L^-1]: j -> g^-1 * j * g
+        # conjugation j -> g^-1 * j * g is R[L^-1] on the maps of g
         table = catalog(name, 30 if name == "dihedral" else None).element_table()
         for i in table.class_reps + [len(table) - 1]:
             g = table.elements[i]

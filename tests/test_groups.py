@@ -181,7 +181,7 @@ class TestIndexLayer:
         elements, index_of = table.elements, table.index_of
         for t, g in enumerate(table.generators):
             assert list(table.rmul[t]) == [index_of[p * g] for p in elements]
-            assert list(table.lmul[t]) == [index_of[g * p] for p in elements]
+            assert list(table.mul_maps(index_of[g])[1]) == [index_of[g * p] for p in elements]
             assert list(table.conj_maps[t]) == [index_of[p.conjugate(g)] for p in elements]
         assert list(table.inv) == [index_of[p.inverse()] for p in elements]
         index = st.integers(min_value=0, max_value=len(table) - 1)
@@ -268,7 +268,7 @@ class TestEnumeration:
         gens = table.generators
         for t, g in enumerate(gens):
             assert list(table.rmul[t]) == [table.index_of[p * g] for p in table.elements]
-            assert list(table.lmul[t]) == [table.index_of[g * p] for p in table.elements]
+            assert list(table.mul_maps(table.index_of[g])[1]) == [table.index_of[g * p] for p in table.elements]
         assert list(table.inv) == [table.index_of[p.inverse()] for p in table.elements]
         for i, p in enumerate(table.elements):
             q = identity(table.degree)
@@ -666,6 +666,17 @@ class TestGroupFiles:
     def test_degree_over_the_bound(self):
         with pytest.raises(ValueError, match=":1: degree must be between 1 and 1024"):
             parse_group_text("degree: 5000\ngen: ()")
+
+    @pytest.mark.parametrize("degree", ["1_2", "\u0661\u0662", "\uff11\uff12", "+12", "12.0", "0x0c"])
+    def test_degree_is_ascii_digits(self, degree):
+        # int() reads the first four as 12; a degree is ASCII digits alone
+        with pytest.raises(ValueError) as exc:
+            parse_group_text(f"degree: {degree}\ngen: (1,2)", source="bad.grp")
+        assert str(exc.value) == f"bad.grp:1: bad degree {degree!r}"
+
+    def test_cycle_digits_are_ascii(self):
+        with pytest.raises(ValueError, match="^bad.grp:2: malformed cycle notation: "):
+            parse_group_text("degree: 5\ngen: (\u0661,\u0662)", source="bad.grp")
 
     def test_point_out_of_range(self):
         with pytest.raises(ValueError, match=":2:"):

@@ -201,6 +201,12 @@ class TestTextFormat:
             with pytest.raises(ValueError, match=r"^malformed cycle notation: "):
                 parse_cycles(bad, 30)
 
+    def test_digits_of_other_scripts_rejected(self):
+        # Arabic-Indic and fullwidth digits are digits to int() and to \d, not to the grammar
+        for bad in ["(\u0661,\u0662)", "(\uff11,\uff12)", "(1,\u0662)(3,4)", "(\u0661\u0660,2)"]:
+            with pytest.raises(ValueError, match=r"^malformed cycle notation: "):
+                parse_cycles(bad, 12)
+
     def test_format_identity(self):
         assert format_cycles(identity(7)) == "()"
 
