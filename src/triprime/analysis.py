@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import graph as graphmod
-from .groups import DEFAULT_CAP, centralizer_elements, is_solvable
+from .groups import DEFAULT_CAP, centralizer_elements, enumerate_elements, is_solvable
 from .primes import is_squarefree, prime_factors
 
 
@@ -196,7 +196,7 @@ def verify_theorem(group, cap=DEFAULT_CAP, table=None, graph=None):
     witness (an element index or a pair).
     """
     if table is None:
-        table = group.element_table(cap)
+        table = enumerate_elements(group, cap)  # not cached on the group: it would outlive the report
     if graph is None:
         graph = graphmod.build_graph(table)
     order = len(table.elements)

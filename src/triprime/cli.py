@@ -7,7 +7,6 @@ import argparse
 import json
 import os
 import pickle
-import select
 import signal
 import sys
 from collections import Counter
@@ -140,104 +139,69 @@ def _attempt(fn, item):
         return False, exc
 
 
-def _take(queue):
-    """The next index on the queue pipe, or None once it is empty."""
-    data = os.read(queue, 4)
-    return int.from_bytes(data, "little") if data else None
-
-
-def _serve(fn, items, i, queue, fd):
-    """A child's work: item i, then the queue's items, each sent on fd as a
-    length-prefixed pickle of (index, ok, result or exception)."""
-    while i is not None:
-        data = pickle.dumps((i, *_attempt(fn, items[i])))
-        data = memoryview(len(data).to_bytes(8, "little") + data)
-        while data:
-            data = data[os.write(fd, data):]
-        i = _take(queue)
-
-
-def _receive(fd, children, results):
-    """Read what is waiting on child pipe fd into results; on end of file,
-    close the pipe and reap the child."""
-    pid, buf = children[fd]
-    chunk = os.read(fd, 1 << 16)
-    if not chunk:
-        os.close(fd)
-        os.waitpid(pid, 0)
-        del children[fd]
-        return
-    buf += chunk
-    while len(buf) >= 8 and len(buf) >= 8 + (size := int.from_bytes(buf[:8], "little")):
-        i, ok, value = pickle.loads(buf[8:8 + size])
-        results[i] = ok, value
-        del buf[:8 + size]
-
-
 def pool_map(fn, items, jobs, key=None):
     """Yield fn(item) for each item, in input order, from min(jobs, len(items))
     processes: this one and forked children; in-process when that is one.
 
-    Items are taken largest key(item) first (input order without a key):
-    each child starts on one of the largest, and then every process takes
-    the rest from a shared pipe of indices. A result is yielded as soon as
-    every earlier one is in, and an exception fn raised is raised at its
-    item's position, as map(fn, items) raises it; so is ChildProcessError
-    for an item whose child exited with no result. Every child is reaped
-    before the generator ends, however it ends.
+    The items are dealt once, largest key(item) first (each weighs 1 without a
+    key), to the share that weighs least so far, then has fewest items. Each
+    share but the last goes to a forked child, which pickles each result to its
+    own pipe; this process computes the last share, then reads every pipe to
+    its end, so nothing is yielded before every share is done. An exception fn
+    raised is raised at its item's position, as map(fn, items) raises it; so is
+    ChildProcessError for an item whose child exited with no result. Every
+    child is killed and reaped before the first yield, however the deal ends.
     """
     workers = min(jobs, len(items))
     if workers <= 1:
         yield from map(fn, items)
         return
-    order = list(range(len(items)))
-    if key is not None:
-        order.sort(key=lambda i: -key(items[i]))
-    queue, feed = os.pipe()
-    os.set_blocking(feed, False)  # the whole queue is written before the fork, or refused
-    rest = b"".join(i.to_bytes(4, "little") for i in order[workers - 1:])
-    fits = not rest or os.write(feed, rest) == len(rest)
-    os.close(feed)
-    children = {}  # result pipe -> (child pid, bytes not yet unpickled)
+    weights = [key(item) for item in items] if key else [1] * len(items)
+    shares = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(items)), key=lambda i: -weights[i]):
+        least = min(range(workers), key=lambda s: (loads[s], len(shares[s])))
+        shares[least].append(i)
+        loads[least] += weights[i]
+    children = []  # (child pid, its result pipe)
     results = {}  # index -> (ok, result or exception)
     try:
-        if not fits:
-            raise ValueError(f"{len(items)} items do not fit one queue pipe")
-        for first in order[:workers - 1]:
+        for share in shares[:-1]:
             fd, out = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child: it leaves only through os._exit
                 try:
                     os.close(fd)
-                    _serve(fn, items, first, queue, out)
+                    with open(out, "wb") as fh:
+                        for i in sorted(share):
+                            pickle.dump((i, _attempt(fn, items[i])), fh)
+                            fh.flush()
                 finally:
                     os._exit(0)
             os.close(out)
-            children[fd] = pid, bytearray()
-        mine = _take(queue)
-        for position in range(len(items)):
-            while position not in results:
-                timeout = None
-                if mine is not None:
-                    results[mine] = _attempt(fn, items[mine])
-                    mine, timeout = _take(queue), 0
-                elif not children:
-                    raise ChildProcessError(f"a worker process exited with no result for item {position}")
-                ready, _, _ = select.select(list(children), [], [], timeout)
-                for fd in ready:
-                    _receive(fd, children, results)
-            ok, value = results.pop(position)
-            if not ok:
-                raise value
-            yield value
-        while children:
-            _receive(next(iter(children)), children, results)
+            children.append((pid, fd))
+        for i in sorted(shares[-1]):
+            results[i] = _attempt(fn, items[i])
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as fh:
+                while True:
+                    try:
+                        i, result = pickle.load(fh)
+                    except (EOFError, pickle.UnpicklingError):  # the end, or a truncated last pickle
+                        break
+                    results[i] = result
     finally:
-        os.close(queue)
-        for fd, (pid, _) in children.items():
+        for pid, fd in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
+    for position in range(len(items)):
+        if position not in results:
+            raise ChildProcessError(f"a worker process exited with no result for item {position}")
+        ok, value = results[position]
+        if not ok:
+            raise value
+        yield value
 
 
 def _verify_one(group, cap):

@@ -510,5 +510,12 @@ def parse_group_text(text, source="<string>"):
 
 
 def load_group(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_text(fh.read(), source=str(path))
+    """The group in the file at path: UTF-8 text, a leading byte order mark skipped."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the data after any byte order mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+    return parse_group_text(text, source=str(path))

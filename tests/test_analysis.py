@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from triprime.analysis import (
 )
 from triprime import graph as graphmod
 from triprime.graph import NonFGraph, build_graph
-from triprime.groups import catalog, direct_product, is_solvable
+from triprime.groups import catalog, direct_product, enumerate_elements, is_solvable, standard_catalog
 from triprime.primes import is_squarefree, prime_factors
 
 
@@ -276,6 +278,26 @@ class TestVerifyTheorem:
             assert lemma["outcome"] in ("pass", "fail", "not-applicable")
             if lemma["outcome"] == "fail":
                 assert "witness" in lemma
+
+    def test_catalog_run_keeps_no_table(self):
+        # a group verified with no table given keeps none: after the whole
+        # catalog, less stays allocated than one sl23_example table
+        groups = standard_catalog()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            table = enumerate_elements(catalog("sl23_example"))
+            table_size = tracemalloc.get_traced_memory()[0] - start
+            del table
+            gc.collect()
+            start = tracemalloc.get_traced_memory()[0]
+            reports = [verify_theorem(g) for g in groups]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert all(r.ok for r in reports)
+        assert retained < table_size
 
     def test_four_prime_solvable_group(self):
         group = direct_product(catalog("cyclic", 6), catalog("cyclic", 35))

@@ -64,23 +64,34 @@ class TestInfo:
             ("degree: 5\n", "{path}: no generators"),
             ("degree: 12\ngen: (1 2,3)\n", "{path}:2: malformed cycle notation: '(1 2,3)'"),
             ("degree: 1_20\ngen: (1,2)\n", "{path}:1: bad degree '1_20'"),
+            (b"degree: 5\n# caf\xe9\ngen: (1,2)\n", "{path}:2: byte 0xe9 is not UTF-8"),
             (("cyclic", "0"), "cyclic group needs n >= 1"),
             (("symmetric", "0"), "symmetric group needs n >= 1"),
         ],
         ids=["no-key", "duplicate-degree", "bad-degree", "unknown-key", "no-degree", "no-gen",
-             "digits-split-by-space", "degree-underscore", "cyclic-0", "symmetric-0"],
+             "digits-split-by-space", "degree-underscore", "latin-1-byte", "cyclic-0", "symmetric-0"],
     )
     def test_bad_input_is_one_error_line(self, capsys, tmp_path, source, message):
-        # source is a group file's text, or a catalog (name, n)
+        # source is a group file's text or bytes, or a catalog (name, n)
         path = tmp_path / "bad.grp"
-        if isinstance(source, str):
-            path.write_text(source)
-            argv = ["--file", str(path)]
-        else:
+        if isinstance(source, tuple):
             argv = ["--catalog", source[0], "--n", source[1]]
+        else:
+            path.write_bytes(source.encode() if isinstance(source, str) else source)
+            argv = ["--file", str(path)]
         code, out, err = run(capsys, "info", *argv)
         assert (code, out) == (2, "")
         assert err == f"error: {message.format(path=path)}\n"
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        path = tmp_path / "s5.grp"
+        text = "degree: 5\ngen: (1,2)\ngen: (1,2,3,4,5)\n"
+        outputs = []
+        for data in (text.encode(), b"\xef\xbb\xbf" + text.encode()):
+            path.write_bytes(data)
+            outputs.append(run(capsys, "info", "--file", str(path)))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and json.loads(outputs[0][1])["order"] == 120
 
     def test_refusal_names_the_order_quickly(self, capsys):
         # a catalog group knows its order: it is refused before anything is listed
@@ -254,18 +265,32 @@ def test_never_more_workers_than_items(monkeypatch):
     _assert_no_child_left()
 
 
-def test_queue_over_one_pipe_is_refused_before_any_fork(monkeypatch):
+def test_more_results_than_one_pipe_holds_map_in_order():
+    # the child's share fills its pipe long before this process reads it
+    items = list(range(1 << 15))
+    assert list(pool_map(abs, [-x for x in items], 2)) == items
+    _assert_no_child_left()
+
+
+def test_deal_pins_each_item_to_its_process(monkeypatch):
+    # largest key first, each item to the lightest share, the one with fewer
+    # items on a tie; the children take the shares in fork order, this
+    # process the last one
     real_fork = os.fork
-    forks = []
+    children = []
 
-    def counted_fork():
-        forks.append(1)
-        return real_fork()
+    def recorded_fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
 
-    monkeypatch.setattr(os, "fork", counted_fork)
-    with pytest.raises(ValueError, match=r"^1048576 items do not fit one queue pipe$"):
-        next(pool_map(abs, list(range(1 << 20)), 2))
-    assert forks == []
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    items = [5, 0, 8, 3, 0, 7, 2, 0]
+    got = list(pool_map(lambda x: (x, os.getpid()), items, 3, key=lambda x: x))
+    assert [x for x, _ in got] == items
+    share = {children[0]: 0, children[1]: 1, os.getpid(): 2}
+    assert [share[pid] for _, pid in got] == [2, 0, 0, 2, 0, 1, 1, 2]
     _assert_no_child_left()
 
 
@@ -326,12 +351,20 @@ def test_lost_child_in_verify_is_one_error_line(capsys, monkeypatch):
     _assert_no_child_left()
 
 
-def test_closing_early_leaves_no_child():
-    # the child sleeps on the largest item; closing after the first result reaps it
+def test_interrupt_in_own_share_reaps_every_child():
+    # the children sleep on their shares; an interrupt in this process's own
+    # share kills and reaps them at once
+    parent = os.getpid()
+
+    def sleep_or_interrupt(x):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)
+        return x
+
     start = time.perf_counter()
-    results = pool_map(lambda x: time.sleep(x) or x, [0, 30], 2, key=lambda x: x)
-    assert next(results) == 0
-    results.close()
+    with pytest.raises(KeyboardInterrupt):
+        next(pool_map(sleep_or_interrupt, [1, 2, 3], 3))
     _assert_no_child_left()
     assert time.perf_counter() - start < 10
 
