@@ -189,16 +189,15 @@ def _near_sigma_check(graph, sigma, sources, dist):
     return sources[missing[0]] if missing.size else None
 
 
-def verify_theorem(group, cap=DEFAULT_CAP, table=None, graph=None):
-    """Build the graph for the group and adjudicate every applicable claim.
+def verify_theorem(group, cap=DEFAULT_CAP, graph=None):
+    """Adjudicate every applicable claim on the group's graph, built unless given.
 
     Returns a VerificationReport; a claim that fails carries a concrete
     witness (an element index or a pair).
     """
-    if table is None:
-        table = enumerate_elements(group, cap)  # not cached on the group: it would outlive the report
-    if graph is None:
-        graph = graphmod.build_graph(table)
+    if graph is None:  # the table is not cached on the group: it would outlive the report
+        graph = graphmod.build_graph(enumerate_elements(group, cap))
+    table = graph.table
     order = len(table.elements)
     primes = sorted(prime_factors(order))
     solvable = is_solvable(table)

@@ -105,34 +105,48 @@ class DiameterResult:
     witness: Optional[Tuple[int, int]] = None
 
 
-def build_graph(table, k=DEFAULT_K, mode="symmetry_reduced"):
+def build_graph(table, k=DEFAULT_K):
     """Construct the full adjacency bit-matrix and the isolated-vertex mask.
 
-    mode "naive" tests every unordered pair directly; "symmetry_reduced"
-    decides the row of each class representative r in full, with one test
-    per orbit of j -> r*j, j*r, j^-1 and conjugation by N_G(<r>), seeds
-    with it the class of each generator r^m of <r>, which is then not
-    decided again, and fills the rest of each class from its seed along
-    the conjugation maps by the generators. Both produce identical
-    matrices, and both compute the order of <x, y> only for pairs that no
-    cheap certificate decides.
+    The row of each class representative r is decided in full, with one
+    test per orbit of j -> r*j, j*r, j^-1 and conjugation by N_G(<r>), and
+    seeds the class of each generator r^m of <r>, which is then not decided
+    again; the rest of each class is filled from its seed along the
+    conjugation maps by the generators. The order of <x, y> is computed only
+    for pairs that no cheap certificate decides.
     """
-    if mode not in ("naive", "symmetry_reduced"):
-        raise ValueError(f"unknown mode {mode!r}")
     n = len(table.elements)
     adjacency = np.zeros((n, n), dtype=bool)
     builds = 0
-    if len(prime_factors(n)) >= k:  # otherwise no subgroup can reach k primes
-        if mode == "naive":
-            for i in range(n):
-                for j in range(i + 1, n):
-                    hit, b = _adjacent_counted(table, i, j, k)
-                    builds += b
-                    if hit:
-                        adjacency[i, j] = True
-                        adjacency[j, i] = True
-        else:
-            builds = _build_reduced(table, k, adjacency)
+    primes = prime_factors(n)
+    if len(primes) >= k:  # otherwise no subgroup can reach k primes
+        # <r^m, j> = <r, j> when gcd(m, |r|) = 1, so each twin y that _row
+        # names for a decided r takes r's row, with entries y and r swapped,
+        # and no class holding one is decided again. The row of x^g at
+        # position j^g equals the row of x at position j: conj_maps[t] sends
+        # x to x^g, g = generators[t], so a filled row x fills the row of its
+        # image, gathered through the inverse map, until every class is
+        # filled from its seed
+        prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes])  # (primes, n)
+        seeded = np.zeros(len(table.class_reps), dtype=bool)  # by class id
+        filled = np.zeros(n, dtype=bool)
+        for rep in table.class_reps:
+            if seeded[table.class_of[rep]]:
+                continue
+            row, b, twins = _row(table, k, prime_mask, rep)
+            builds += b
+            for y in twins:
+                if not seeded[table.class_of[y]]:
+                    seeded[table.class_of[y]] = filled[y] = True
+                    adjacency[y] = row
+                    adjacency[y, y] = False
+                    adjacency[y, rep] = row[y]
+        inverses = [np.argsort(m) for m in table.conj_maps]  # row m[x] at i is row x at u[i]
+        while not filled.all():
+            for m, u in zip(table.conj_maps, inverses):
+                for x in np.flatnonzero(filled & ~filled[m]):
+                    adjacency[m[x]] = adjacency[x][u]
+                    filled[m[x]] = True
     isolated = ~adjacency.any(axis=1)
     vertices = np.flatnonzero(~isolated)
     return NonFGraph(table=table, k=k, adjacency=adjacency,
@@ -200,39 +214,6 @@ def _normalizer_conjugations(table, rep, R, L):
         power = R[power]
     chosen, _ = table.span(normalizer)
     return [right[table.inv[right[table.inv]]] for right, _ in map(table.mul_maps, chosen)]
-
-
-def _build_reduced(table, k, adjacency):
-    # <r^m, j> = <r, j> when gcd(m, |r|) = 1, so each twin y that _row
-    # names for a decided r takes r's row, with entries y and r swapped, and
-    # no class holding one is decided again. The row of x^g at position j^g
-    # equals the row of x at position j: conj_maps[t] sends x to x^g,
-    # g = generators[t], so a filled row x fills the row of its image,
-    # gathered through the inverse map, until every class is filled from
-    # its seed
-    primes = prime_factors(len(table.elements))
-    prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes])  # (primes, n)
-    builds = 0
-    seeded = np.zeros(len(table.class_reps), dtype=bool)  # by class id
-    filled = np.zeros(len(adjacency), dtype=bool)
-    for rep in table.class_reps:
-        if seeded[table.class_of[rep]]:
-            continue
-        row, b, twins = _row(table, k, prime_mask, rep)
-        builds += b
-        for y in twins:
-            if not seeded[table.class_of[y]]:
-                seeded[table.class_of[y]] = filled[y] = True
-                adjacency[y] = row
-                adjacency[y, y] = False
-                adjacency[y, rep] = row[y]
-    inverses = [np.argsort(m) for m in table.conj_maps]  # row m[x] at i is row x at u[i]
-    while not filled.all():
-        for m, u in zip(table.conj_maps, inverses):
-            for x in np.flatnonzero(filled & ~filled[m]):
-                adjacency[m[x]] = adjacency[x][u]
-                filled[m[x]] = True
-    return builds
 
 
 def _is_central(table, rep):

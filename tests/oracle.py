@@ -1,16 +1,32 @@
-"""The tests' independent reference for group orders: a stabilizer chain.
+"""The tests' references: group orders, adjacency and distances, each by
+the plainest route.
 
-The package reads every order off its element tables; this module never
-lists elements. StabilizerChain is the deterministic incremental
-Schreier-Sims, with the smallest moved point as each base point and orbits
-extended breadth-first in generator order, reproducible for a fixed
-generator sequence. order(group) and two_generated_order(x, y) are the
-references for a group's order and for |<x, y>|.
+StabilizerChain is the deterministic incremental Schreier-Sims, with the
+smallest moved point as each base point and orbits extended breadth-first
+in generator order, reproducible for a fixed generator sequence. order(group)
+and two_generated_order(x, y) are the references for a group's order and
+for |<x, y>|; they list no elements and share only triprime.perm with the
+package.
+
+oracle_adjacency decides every unordered pair through a fresh chain, with
+no certificate and no symmetry. naive_adjacency and naive_row decide each
+pair through graph._adjacent_counted, so they share the package's per-pair
+certificates and its element table, and check only the symmetry-reduced
+build's orbits, seeds and fill; TestCertificates checks those certificates
+against chain orders. oracle_all_pairs_distances is a plain-python BFS over
+a list-of-lists matrix, and top_down_levels the plain dense BFS, which check
+graph._bfs_levels. distance_rows, eccentricities and per_vertex_diameter run
+the package's own BFS from every source asked for, not only from class
+representatives, to check what rep_distances and diameter read off them.
 """
 
 from math import prod
 
+import numpy as np
+
+from triprime import graph as graph_module
 from triprime.perm import identity
+from triprime.primes import prime_factors
 
 
 class StabilizerChain:
@@ -113,3 +129,97 @@ def two_generated_order(x, y):
     if len(x) != len(y):
         raise ValueError(f"degree mismatch: {len(x)} vs {len(y)}")
     return StabilizerChain([x, y], degree=len(x)).order()
+
+
+def naive_adjacency(table, k=3):
+    """The (n, n) bool matrix with every pair i < j decided by
+    graph._adjacent_counted; empty when |G| has fewer than k primes, as no
+    subgroup can then reach k."""
+    n = len(table.elements)
+    adjacency = np.zeros((n, n), dtype=bool)
+    if len(prime_factors(n)) >= k:
+        for i in range(n):
+            for j in range(i + 1, n):
+                hit, _ = graph_module._adjacent_counted(table, i, j, k)
+                if hit:
+                    adjacency[i, j] = True
+                    adjacency[j, i] = True
+    return adjacency
+
+
+def naive_row(table, r, k):
+    """Row r of naive_adjacency(table, k), pair by pair with adjacent()."""
+    n = len(table)
+    if len(prime_factors(n)) < k:
+        return np.zeros(n, dtype=bool)
+    return np.array([graph_module.adjacent(table, r, j, k) for j in range(n)])
+
+
+def oracle_adjacency(table, k=3):
+    # independent oracle: every unordered pair through a fresh subgroup order,
+    # no prefilters, no symmetry
+    n = len(table.elements)
+    adj = [[False] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            hit = len(prime_factors(two_generated_order(table.elements[i], table.elements[j]))) >= k
+            adj[i][j] = adj[j][i] = hit
+    return adj
+
+
+def oracle_all_pairs_distances(adj):
+    # plain-python BFS from every non-isolated vertex
+    n = len(adj)
+    vertices = [i for i in range(n) if any(adj[i])]
+    dist = {}
+    for s in vertices:
+        d = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in range(n):
+                    if adj[x][y] and y not in d:
+                        d[y] = d[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        dist[s] = d
+    return vertices, dist
+
+
+def top_down_levels(adjacency, source):
+    # the plain dense BFS: each level reads the frontier's full rows
+    n = len(adjacency)
+    dist = np.full(n, -1, dtype=np.int32)
+    dist[source] = 0
+    frontier = np.zeros(n, dtype=bool)
+    frontier[source] = True
+    visited = frontier.copy()
+    d = 0
+    while frontier.any():
+        d += 1
+        frontier = adjacency[frontier].any(axis=0) & ~visited
+        dist[frontier] = d
+        visited |= frontier
+    return dist
+
+
+def distance_rows(graph, sources):
+    """One _bfs_levels row per source, as an int32 (len(sources), n) array."""
+    return np.array([graph_module._bfs_levels(graph, s) for s in sources], dtype=np.int32).reshape(-1, graph.n)
+
+
+def eccentricities(graph, sources):
+    """Eccentricity (and reachability) per source, one bfs call each."""
+    out = {}
+    for s in sources:
+        rep = graph_module.bfs(graph, int(s))
+        out[int(s)] = (rep.eccentricity, rep.reaches_all)
+    return out
+
+
+def per_vertex_diameter(graph):
+    """The diameter from a BFS row at every non-isolated vertex, not only at
+    the class representatives."""
+    sources = [int(v) for v in graph.vertices]
+    return graph_module.diameter_from_rows(graph, sources, distance_rows(graph, sources))

@@ -23,7 +23,7 @@ from triprime.graph import build_graph, diameter, distance, neighbor_order_profi
 from triprime.groups import catalog, centralizer_elements, normal_closure, standard_catalog
 from triprime.primes import prime_factors
 
-from test_graph import eccentricities
+from oracle import eccentricities, naive_adjacency
 
 
 def announce(criterion, ok, detail=""):
@@ -45,7 +45,7 @@ def sweep(sl23x):
         else:
             table = group.element_table()
             graph = build_graph(table)
-        report = verify_theorem(group, table=table, graph=graph)
+        report = verify_theorem(group, graph=graph)
         bundles[group.name] = SimpleNamespace(
             group=group, table=table, graph=graph,
             diam=diameter(graph), report=report,
@@ -226,8 +226,7 @@ def test_criterion_8_oracle_equivalence(sweep):
     for name, b in sweep.items():
         if name.startswith("_") or len(b.table.elements) > 200:
             continue
-        naive = build_graph(b.table, mode="naive")
-        assert np.array_equal(naive.adjacency, b.graph.adjacency), name
+        assert np.array_equal(naive_adjacency(b.table), b.graph.adjacency), name
         bit_identical += 1
     ecc_groups = 0
     for name, b in sweep.items():

@@ -1,12 +1,13 @@
 import gc
 import hashlib
+import inspect
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from test_graph import distance_rows
+from oracle import distance_rows
 from triprime.analysis import (
     check_fpf,
     check_higman,
@@ -232,9 +233,15 @@ class TestFpf:
         assert out.outcome == "not-applicable"
 
 
+def test_one_build_path_and_one_table_per_report():
+    # the graph is built one way, and a report reads the table of its own graph
+    assert list(inspect.signature(build_graph).parameters) == ["table", "k"]
+    assert list(inspect.signature(verify_theorem).parameters) == ["group", "cap", "graph"]
+
+
 class TestVerifyTheorem:
     def test_d30_report(self, d30):
-        report = verify_theorem(d30.group, table=d30.table, graph=d30.graph)
+        report = verify_theorem(d30.group, graph=d30.graph)
         assert report.ok
         assert report.status == "connected"
         assert report.diameter == 2
@@ -257,7 +264,7 @@ class TestVerifyTheorem:
             return bfs_levels(g, source)
 
         monkeypatch.setattr(graphmod, "_bfs_levels", counted)
-        assert verify_theorem(group, graph=graph, table=graph.table).ok
+        assert verify_theorem(group, graph=graph).ok
         assert len(calls) == 2
 
     def test_s4_vacuous(self):
@@ -268,7 +275,7 @@ class TestVerifyTheorem:
         assert report.isolated_count == 24
 
     def test_report_schema(self, d30):
-        d = verify_theorem(d30.group, table=d30.table, graph=d30.graph).to_dict()
+        d = verify_theorem(d30.group, graph=d30.graph).to_dict()
         assert set(d) == {
             "group", "order", "primes", "solvable", "isolated_count", "status",
             "diameter", "max_pi_tilde", "sigma_count", "prime_graph", "lemmas",
@@ -347,12 +354,10 @@ def test_failing_verdicts_pinned():
     for group in (catalog("dihedral", 30), catalog("frobenius21"), catalog("symmetric", 5)):
         t = group.element_table()
         n = len(t.elements)
-        runs += [(group, t, _path_graph(t)), (group, t, _path_graph(t, skip=n // 2)),
-                 (group, t, build_graph(t, k=2))]
+        runs += [(group, _path_graph(t)), (group, _path_graph(t, skip=n // 2)), (group, build_graph(t, k=2))]
     group = direct_product(catalog("cyclic", 6), catalog("cyclic", 35))
-    t = group.element_table()
-    runs.append((group, t, _path_graph(t)))
-    reports = [verify_theorem(g, table=t, graph=graph) for g, t, graph in runs]
+    runs.append((group, _path_graph(group.element_table())))
+    reports = [verify_theorem(g, graph=graph) for g, graph in runs]
     text = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "8f7286e284e641530d8767f8c15088c5cf40138546541bf745fba4d489c48607"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_graph import small_groups
+from strategies import small_groups
 from triprime import exports
 from triprime.graph import build_graph
 from triprime.groups import catalog

@@ -8,7 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import order, two_generated_order
+from oracle import (
+    distance_rows,
+    eccentricities,
+    naive_adjacency,
+    naive_row,
+    oracle_adjacency,
+    oracle_all_pairs_distances,
+    per_vertex_diameter,
+    top_down_levels,
+    two_generated_order,
+)
+from strategies import small_groups
 from triprime import graph as graph_module
 from triprime import groups as groups_module
 from triprime.graph import (
@@ -17,7 +28,6 @@ from triprime.graph import (
     bfs,
     build_graph,
     diameter,
-    diameter_from_rows,
     distance,
     neighbor_order_profile,
     rep_distances,
@@ -25,59 +35,6 @@ from triprime.graph import (
 from triprime.groups import PermutationGroup, catalog, direct_product, standard_catalog
 from triprime.perm import Permutation, parse_cycles
 from triprime.primes import prime_factors
-
-
-def oracle_adjacency(table, k=3):
-    # independent oracle: every unordered pair through a fresh subgroup order,
-    # no prefilters, no symmetry
-    n = len(table.elements)
-    adj = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            hit = len(prime_factors(two_generated_order(table.elements[i], table.elements[j]))) >= k
-            adj[i][j] = adj[j][i] = hit
-    return adj
-
-
-def oracle_all_pairs_distances(adj):
-    # plain-python BFS from every non-isolated vertex
-    n = len(adj)
-    vertices = [i for i in range(n) if any(adj[i])]
-    dist = {}
-    for s in vertices:
-        d = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in range(n):
-                    if adj[x][y] and y not in d:
-                        d[y] = d[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        dist[s] = d
-    return vertices, dist
-
-
-def eccentricities(graph, sources):
-    """Eccentricity (and reachability) per source, one bfs call each."""
-    out = {}
-    for s in sources:
-        rep = bfs(graph, int(s))
-        out[int(s)] = (rep.eccentricity, rep.reaches_all)
-    return out
-
-
-def distance_rows(graph, sources):
-    """One _bfs_levels row per source, as an int32 (len(sources), n) array."""
-    return np.array([graph_module._bfs_levels(graph, s) for s in sources], dtype=np.int32).reshape(-1, graph.n)
-
-
-def per_vertex_diameter(graph):
-    """The diameter from a BFS row at every non-isolated vertex, not only at
-    the class representatives."""
-    sources = [int(v) for v in graph.vertices]
-    return diameter_from_rows(graph, sources, distance_rows(graph, sources))
 
 
 class TestAdjacent:
@@ -140,13 +97,7 @@ class TestBuildGraph:
     )
     def test_naive_equals_symmetry_reduced(self, group):
         table = group.element_table()
-        naive = build_graph(table, mode="naive")
-        reduced = build_graph(table, mode="symmetry_reduced")
-        assert np.array_equal(naive.adjacency, reduced.adjacency)
-
-    def test_unknown_mode(self, d30):
-        with pytest.raises(ValueError):
-            build_graph(d30.table, mode="magic")
+        assert np.array_equal(naive_adjacency(table), build_graph(table).adjacency)
 
     def test_automorphism_invariance(self, d30):
         table = d30.table
@@ -268,36 +219,6 @@ def brute_orbit(table, r, j, normalizer):
     return orbit
 
 
-@st.composite
-def small_groups(draw):
-    """A subgroup of S_n, n <= 8, of order at most 200: of 2-4 random
-    generators, each is kept only when the group stays that small, so no
-    draw is rejected and the naive oracle stays fast."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    gens = []
-    for g in draw(st.lists(st.permutations(range(n)).map(Permutation), min_size=2, max_size=4)):
-        if order(PermutationGroup(gens + [g])) <= 200:
-            gens.append(g)
-    return PermutationGroup(gens)
-
-
-def top_down_levels(adjacency, source):
-    # the plain dense BFS: each level reads the frontier's full rows
-    n = len(adjacency)
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
-    visited = frontier.copy()
-    d = 0
-    while frontier.any():
-        d += 1
-        frontier = adjacency[frontier].any(axis=0) & ~visited
-        dist[frontier] = d
-        visited |= frontier
-    return dist
-
-
 class TestBfsLevels:
     # the direction-optimizing BFS against the plain top-down one, from
     # every source, isolated ones included
@@ -348,7 +269,7 @@ class TestReducedBuild:
             return original(table, i, j, k)
 
         monkeypatch.setattr(graph_module, "_adjacent_counted", counted)
-        build_graph(table, mode="symmetry_reduced")
+        build_graph(table)
         expected = Counter()
         for r in decided_reps(table):
             x = table.elements[r]
@@ -461,9 +382,8 @@ class TestReducedBuild:
 
     def test_reduced_matches_naive_at_k4(self):
         table = direct_product(catalog("cyclic", 6), catalog("cyclic", 35)).element_table()
-        reduced = build_graph(table, k=4, mode="symmetry_reduced")
-        naive = build_graph(table, k=4, mode="naive")
-        assert np.array_equal(reduced.adjacency, naive.adjacency)
+        reduced = build_graph(table, k=4)
+        assert np.array_equal(reduced.adjacency, naive_adjacency(table, k=4))
         assert reduced.adjacency.any()
 
 
@@ -509,16 +429,6 @@ class TestOrbitLabels:
         check_orbit_labels(group.element_table())
 
 
-def naive_row(table, r, k):
-    # row r of build_graph(table, k, mode="naive"), pair by pair: the naive
-    # build leaves the matrix empty when |G| has fewer than k primes, and
-    # otherwise decides each entry with adjacent()
-    n = len(table)
-    if len(prime_factors(n)) < k:
-        return np.zeros(n, dtype=bool)
-    return np.array([adjacent(table, r, j, k) for j in range(n)])
-
-
 def check_rep_rows(table, k):
     # each representative row is complete on its own: no entry waits for
     # the row of another class; it seeds r alone when r is central, and
@@ -556,9 +466,8 @@ class TestReducedAgainstNaive:
     @given(group=small_groups(), k=st.sampled_from([2, 3]))
     def test_reduced_matches_naive(self, group, k):
         table = group.element_table()
-        reduced = build_graph(table, k=k, mode="symmetry_reduced")
-        naive = build_graph(table, k=k, mode="naive")
-        assert np.array_equal(reduced.adjacency, naive.adjacency)
+        reduced = build_graph(table, k=k)
+        assert np.array_equal(reduced.adjacency, naive_adjacency(table, k=k))
         # eccentricity is constant on classes, so class representatives suffice
         assert per_vertex_diameter(reduced) == diameter(reduced)
         ecc = eccentricities(reduced, reduced.vertices)
@@ -567,24 +476,24 @@ class TestReducedAgainstNaive:
 
 
 # every catalog group at k = 2, 3, 4 except sl23_example at k = 3, whose
-# naive build takes over a minute; its k = 3 edges are pinned by the export
+# naive_adjacency takes over a minute; its k = 3 edges are pinned by the export
 # digests in test_exports.PINNED
 CATALOG_K = [(g, k) for k in (2, 3, 4) for g in standard_catalog() if (g.name, k) != ("sl23_example", 3)]
 
 
 class TestRationalSeeds:
-    # a decided row seeds the class of every generator of <r>, so the naive
-    # build is the oracle for the seeded rows and for the fill from them
+    # a decided row seeds the class of every generator of <r>, so
+    # naive_adjacency is the oracle for the seeded rows and for the fill from them
     @pytest.mark.parametrize("group, k", CATALOG_K, ids=lambda v: getattr(v, "name", v))
     def test_catalog_matches_naive(self, group, k):
         table = group.element_table()
-        assert np.array_equal(build_graph(table, k=k).adjacency, build_graph(table, k=k, mode="naive").adjacency)
+        assert np.array_equal(build_graph(table, k=k).adjacency, naive_adjacency(table, k=k))
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(group=small_groups(), k=st.sampled_from([2, 3, 4]))
     def test_random_groups_match_naive(self, group, k):
         table = group.element_table()
-        assert np.array_equal(build_graph(table, k=k).adjacency, build_graph(table, k=k, mode="naive").adjacency)
+        assert np.array_equal(build_graph(table, k=k).adjacency, naive_adjacency(table, k=k))
 
     def test_dihedral_210_decides_one_row_per_rational_class(self, monkeypatch):
         # 53 non-central classes: the reflections, and 52 rotation classes

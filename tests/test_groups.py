@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracle
 from oracle import StabilizerChain, order
-from test_graph import small_groups
+from strategies import small_groups
 from triprime import groups
 from triprime.groups import (
     OrderCapExceeded,
