@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import graph as graphmod
-from .groups import DEFAULT_CAP, centralizer_elements, enumerate_elements, is_solvable
+from .groups import centralizer_elements, is_solvable
 from .primes import is_squarefree, prime_factors
 
 
@@ -189,14 +189,13 @@ def _near_sigma_check(graph, sigma, sources, dist):
     return sources[missing[0]] if missing.size else None
 
 
-def verify_theorem(group, cap=DEFAULT_CAP, graph=None):
-    """Adjudicate every applicable claim on the group's graph, built unless given.
+def verify_theorem(group, graph):
+    """Adjudicate every applicable claim on graph, the built graph of group.
 
-    Returns a VerificationReport; a claim that fails carries a concrete
-    witness (an element index or a pair).
+    group names the report; the claims read graph and its table. Returns a
+    VerificationReport; a claim that fails carries a concrete witness (an
+    element index or a pair).
     """
-    if graph is None:  # the table is not cached on the group: it would outlive the report
-        graph = graphmod.build_graph(enumerate_elements(group, cap))
     table = graph.table
     order = len(table.elements)
     primes = sorted(prime_factors(order))

@@ -207,7 +207,7 @@ def pool_map(fn, items, jobs, key=None):
 def _verify_one(group, cap):
     """(report dict, ok) for one group; a group over the cap is reported, not failed."""
     try:
-        report = verify_theorem(group, cap=cap)
+        report = verify_theorem(group, build_graph(group.element_table(cap)))
     except OrderCapExceeded as exc:
         return {"group": group.name, "error": str(exc)}, True
     return report.to_dict(), report.ok

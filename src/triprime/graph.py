@@ -127,7 +127,8 @@ def build_graph(table, k=DEFAULT_K):
         # x to x^g, g = generators[t], so a filled row x fills the row of its
         # image, gathered through the inverse map, until every class is
         # filled from its seed
-        prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes])  # (primes, n)
+        prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes], dtype=bool)
+        prime_mask = prime_mask.reshape(len(primes), n)  # 2-D also with no primes, at k = 0
         seeded = np.zeros(len(table.class_reps), dtype=bool)  # by class id
         filled = np.zeros(n, dtype=bool)
         for rep in table.class_reps:

@@ -42,10 +42,11 @@ def two_generated_order(x, y):
 
 
 class PermutationGroup:
-    """A finite permutation group given by generators; element table listed lazily.
+    """A finite permutation group given by generators; it holds no listing.
 
     known_order is the order a catalog builder knows by construction, or
-    None; the order of the group is the length of its element table.
+    None; the order of the group is the length of its element table, which
+    element_table lists anew on each call.
     """
 
     def __init__(self, generators, degree=None, name=None, known_order=None):
@@ -63,16 +64,13 @@ class PermutationGroup:
         self.generators = generators
         self.name = name
         self.known_order = known_order
-        self._table = None
 
     def __repr__(self):
         label = self.name or f"degree-{self.degree} group"
         return f"<PermutationGroup {label}, {len(self.generators)} generators>"
 
     def element_table(self, cap=DEFAULT_CAP):
-        if self._table is None or len(self._table.elements) > cap:
-            self._table = enumerate_elements(self, cap)
-        return self._table
+        return enumerate_elements(self, cap)
 
 
 @dataclass

@@ -73,7 +73,7 @@ class Permutation(tuple):
 
     def order(self):
         """Least m >= 1 with self^m = identity: the lcm of the cycle lengths."""
-        return math.lcm(*(len(c) for c in self.cycles())) if not self.is_identity() else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def cycles(self):
         """Cycle decomposition, fixed points omitted.

@@ -171,7 +171,8 @@ class TestHigman:
     def test_verify_derives_solvability_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr("triprime.analysis.is_solvable", lambda t: calls.append(t) or is_solvable(t))
-        verify_theorem(catalog("dihedral", 30))
+        group = catalog("dihedral", 30)
+        verify_theorem(group, build_graph(group.element_table()))
         assert len(calls) == 1
 
 
@@ -236,7 +237,7 @@ class TestFpf:
 def test_one_build_path_and_one_table_per_report():
     # the graph is built one way, and a report reads the table of its own graph
     assert list(inspect.signature(build_graph).parameters) == ["table", "k"]
-    assert list(inspect.signature(verify_theorem).parameters) == ["group", "cap", "graph"]
+    assert list(inspect.signature(verify_theorem).parameters) == ["group", "graph"]
 
 
 class TestVerifyTheorem:
@@ -268,7 +269,8 @@ class TestVerifyTheorem:
         assert len(calls) == 2
 
     def test_s4_vacuous(self):
-        report = verify_theorem(catalog("symmetric", 4))
+        group = catalog("symmetric", 4)
+        report = verify_theorem(group, build_graph(group.element_table()))
         assert report.ok
         assert report.status == "empty"
         assert report.diameter is None
@@ -287,7 +289,7 @@ class TestVerifyTheorem:
                 assert "witness" in lemma
 
     def test_catalog_run_keeps_no_table(self):
-        # a group verified with no table given keeps none: after the whole
+        # a group keeps no table once its graph is verified: after the whole
         # catalog, less stays allocated than one sl23_example table
         groups = standard_catalog()
         tracemalloc.start()
@@ -298,7 +300,7 @@ class TestVerifyTheorem:
             del table
             gc.collect()
             start = tracemalloc.get_traced_memory()[0]
-            reports = [verify_theorem(g) for g in groups]
+            reports = [verify_theorem(g, build_graph(g.element_table())) for g in groups]
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - start
         finally:
@@ -308,7 +310,7 @@ class TestVerifyTheorem:
 
     def test_four_prime_solvable_group(self):
         group = direct_product(catalog("cyclic", 6), catalog("cyclic", 35))
-        report = verify_theorem(group)
+        report = verify_theorem(group, build_graph(group.element_table()))
         assert report.ok
         outcomes = {l.name: l.outcome for l in report.lemmas}
         assert outcomes["solvable_four_primes_diameter_le_3"] == "pass"

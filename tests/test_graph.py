@@ -73,6 +73,13 @@ class TestBuildGraph:
         assert len(graph.isolated_vertices()) == 24
         assert len(graph.vertices) == 0
 
+    def test_k0_with_and_without_primes(self):
+        # at k = 0 every pair is an edge; the trivial group has no primes and no pair
+        trivial = build_graph(catalog("cyclic", 1).element_table(), k=0)
+        assert trivial.adjacency.shape == (1, 1) and not trivial.adjacency.any()
+        c2 = build_graph(catalog("cyclic", 2).element_table(), k=0)
+        assert np.array_equal(c2.adjacency, [[False, True], [True, False]])
+
     def test_adjacency_symmetric_empty_diagonal(self, d30):
         adj = d30.graph.adjacency
         assert np.array_equal(adj, adj.T)

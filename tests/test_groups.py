@@ -257,6 +257,14 @@ class TestEnumeration:
         assert (exc.order, exc.cap) == (order, cap)
         assert str(exc) == str(OrderCapExceeded(order, cap))
 
+    def test_group_holds_no_listing(self):
+        # each call lists the group anew, and the group keeps no table
+        group = catalog("dihedral", 30)
+        first, second = group.element_table(), group.element_table()
+        assert first is not second
+        assert pickle.dumps(first) == pickle.dumps(second)
+        assert not any(isinstance(v, groups.ElementTable) for v in vars(group).values())
+
     def test_identity_first(self):
         table = catalog("dihedral", 30).element_table()
         assert table.elements[0].is_identity()
