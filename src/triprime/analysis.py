@@ -33,7 +33,7 @@ def omega_set(graph, n):
     table = graph.table
     return {
         i
-        for i in range(len(table.elements))
+        for i in range(len(table))
         if not graph.isolated[i]
         and table.order_of[i] % n == 0
         and table.primes_of[i] <= support
@@ -50,7 +50,7 @@ class PrimeGraph:
 
 
 def prime_graph(table):
-    vertices = prime_factors(len(table.elements))
+    vertices = prime_factors(len(table))
     orders = set(table.order_of)
     edges = {frozenset((p, q)) for p, q in combinations(vertices, 2) if p * q in orders}
     components = [{p} for p in vertices]
@@ -197,7 +197,7 @@ def verify_theorem(group, graph):
     element index or a pair).
     """
     table = graph.table
-    order = len(table.elements)
+    order = len(table)
     primes = sorted(prime_factors(order))
     solvable = is_solvable(table)
     sigma = sigma_set(table)

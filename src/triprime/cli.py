@@ -93,8 +93,8 @@ def cmd_info(args):
     info = {
         "name": group.name,
         "degree": group.degree,
-        "order": len(table.elements),
-        "primes": sorted(prime_factors(len(table.elements))),
+        "order": len(table),
+        "primes": sorted(prime_factors(len(table))),
         "solvable": is_solvable(table),
         "class_count": len(table.class_reps),
         "order_histogram": dict(sorted(Counter(table.order_of).items())),

@@ -16,8 +16,8 @@ is decided per orbit of these maps. Orbits left open are merged further under
 conjugation by the normalizer N_G(<r>): for g there, <r, j^g> = <r, j>^g has
 the same order, and conjugation by g keeps classes, prime sets and commuting
 with r. Each subgroup the build needs, <x, y> or the normalizer's span, comes
-from table.subgroup, a closure on the element table's index maps; only the
-per-pair certificates multiply permutations.
+from table.subgroup, a closure on the element table's index maps, and the
+per-pair certificates multiply element indices through table.times.
 """
 
 from collections import Counter
@@ -48,22 +48,21 @@ def _adjacent_counted(table, i, j, k):
 
     Cheap sound certificates run first. When x and y commute, |<x, y>|
     divides |x|*|y|, so the primes of x and y are all there is. Otherwise the
-    orders of x, y and of the words xy, xy^-1, [x, y], x^2y and xy^2 all
-    divide |<x, y>|, so their combined prime support certifies adjacency.
-    Only pairs that no certificate decides count table.subgroup([i, j]).
+    orders of x, y and of the words xy, xy^-1, [x, y], x^2y and xy^2, indices
+    formed by table.times, all divide |<x, y>|, so their combined prime support
+    certifies adjacency. Only undecided pairs count table.subgroup([i, j]).
     """
     if i == j:
         return False, 0
     support = table.primes_of[i] | table.primes_of[j]
     if len(support) >= k:
         return True, 0
-    x = table.elements[i]
-    y = table.elements[j]
-    xy, yx = x * y, y * x
+    times, inv = table.times, table.inv
+    xy, yx = times(i, j), times(j, i)
     if xy == yx:
         return False, 0
-    for w in (xy, x * y.inverse(), yx.inverse() * xy, x * xy, xy * y):
-        support = support | table.primes_of[table.index_of[w]]
+    for w in (xy, times(i, inv[j]), times(inv[yx], xy), times(i, xy), times(xy, j)):
+        support = support | table.primes_of[w]
         if len(support) >= k:
             return True, 0
     return len(prime_factors(int(table.subgroup([i, j]).sum()))) >= k, 1
@@ -115,7 +114,7 @@ def build_graph(table, k=DEFAULT_K):
     conjugation maps by the generators. The order of <x, y> is computed only
     for pairs that no cheap certificate decides.
     """
-    n = len(table.elements)
+    n = len(table)
     adjacency = np.zeros((n, n), dtype=bool)
     builds = 0
     primes = prime_factors(n)

@@ -1,12 +1,12 @@
 """Finite permutation groups: element tables, subgroups, catalog.
 
-Every subgroup is computed on the element table: ElementTable.subgroup
-closes element indices on the table's index maps, ElementTable.span takes
-greedy generators of the subgroup a mask spans, and normal closures, the
-derived series and solvability are read off the two; the enumeration
-enforces the element cap. Every order is the length of a listing, and
-two_generated_order lists <x, y>. A catalog group knows its order from a
-closed formula.
+Once a group is listed, only its element table multiplies: ElementTable.times
+carries element indices along the table's index maps, ElementTable.subgroup
+closes indices through times, ElementTable.span takes greedy generators of
+the subgroup a mask spans, and normal closures, the derived series and
+solvability are read off the two. The enumeration enforces the element cap;
+every order is the length of a listing, and two_generated_order lists
+<x, y>. A catalog group knows its order from a closed formula.
 """
 
 from dataclasses import dataclass
@@ -84,7 +84,8 @@ class ElementTable:
     g = generators[t], rmul[t][i] and conj_maps[t][i] are the indices of
     elements[i] * g and g^-1 * elements[i] * g, and inv[i] that of
     elements[i]^-1. class_of[i] is the class of elements[i] and class_reps[c]
-    the least index of class c, class ids ordered by representative.
+    the least index of class c, class ids ordered by representative. times
+    forms every later product; index_of reads permutations from outside.
     """
 
     degree: int
@@ -114,12 +115,16 @@ class ElementTable:
             w.append(t)
         return w[::-1]
 
+    def times(self, x, j):
+        """Index of elements[x] * elements[j], x an index or index array, carried along word(j)."""
+        for t in self.word(j):
+            x = self.rmul[t][x]
+        return x
+
     def mul_maps(self, i):
-        """(R, L): R[j] is the index of elements[j] * x, x = elements[i], composed along word(i),
+        """(R, L): R[j] is the index of elements[j] * x, x = elements[i], R = times(arange(n), i),
         and L[j] that of x * elements[j] = (elements[j]^-1 * x^-1)^-1, so L = inv[R^-1[inv]]."""
-        R = np.arange(len(self.elements))
-        for t in self.word(i):
-            R = self.rmul[t][R]
+        R = self.times(np.arange(len(self)), i)
         unright = np.empty_like(R)  # unright[j]: index of elements[j] * x^-1
         unright[R] = np.arange(len(R))
         return R, self.inv[unright[self.inv]]
@@ -127,11 +132,10 @@ class ElementTable:
     def subgroup(self, gens):
         """Membership mask of the subgroup generated by the element indices
         gens, closed from {e} under right multiplication by each generator,
-        along its word. By Lagrange a subgroup of more than n/p elements, p
+        through times. By Lagrange a subgroup of more than n/p elements, p
         the least prime dividing n, is G: the closure stops there.
         """
-        n = len(self.elements)
-        words = [self.word(g) for g in gens]
+        n = len(self)
         inside = np.zeros(n, dtype=bool)
         frontier = np.zeros(1, dtype=np.intp)  # the identity
         while len(frontier):
@@ -139,11 +143,8 @@ class ElementTable:
             if np.count_nonzero(inside) > n // min(prime_factors(n), default=1):
                 return np.ones(n, dtype=bool)
             reached = np.zeros(n, dtype=bool)
-            for word in words:
-                products = frontier
-                for t in word:
-                    products = self.rmul[t][products]
-                reached[products] = True
+            for g in gens:
+                reached[self.times(frontier, g)] = True
             frontier = np.flatnonzero(reached & ~inside)
         return inside
 
@@ -274,23 +275,23 @@ def _normal_span(table, seeds):
 
 
 def _derived_span(table, gens):
-    """table.span of [H, H] for H = <gens> normal in G, as the G-normal
-    closure N of the commutators of H's generators: [H, H] is characteristic
-    in H, so normal in G, and holds N; H/N is abelian, so N holds [H, H]."""
-    x = table.elements
-    return _normal_span(table, [table.index_of[x[a].commutator(x[b])] for a, b in combinations(gens, 2)])
+    """table.span of [H, H] for H = <gens> normal in G, as the G-normal closure N
+    of the commutators (a^-1 * b^-1) * (a * b) of H's generators, by times: [H, H]
+    is characteristic in H, so normal in G, and holds N; H/N is abelian, so N holds it."""
+    inv, times = table.inv, table.times
+    return _normal_span(table, [times(times(inv[a], inv[b]), times(a, b)) for a, b in combinations(gens, 2)])
 
 
 def derived_subgroup(table):
     """Membership mask of [G, G]."""
-    return _derived_span(table, [table.index_of[g] for g in table.generators])[1]
+    return _derived_span(table, [int(m[0]) for m in table.rmul])[1]  # rmul[t][0]: e * g_t
 
 
 def is_solvable(table):
     """Whether the derived series reaches the trivial group. Every term is
     normal in G, and the series stops when a term is no smaller than the
     one before."""
-    gens = [table.index_of[g] for g in table.generators]
+    gens = [int(m[0]) for m in table.rmul]  # rmul[t][0]: e * g_t
     size = len(table)
     while size > 1:
         gens, mask = _derived_span(table, gens)

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from triprime.analysis import (
 from triprime import graph as graphmod
 from triprime.graph import NonFGraph, build_graph
 from triprime.groups import catalog, direct_product, enumerate_elements, is_solvable, standard_catalog
+from triprime.perm import Permutation
 from triprime.primes import is_squarefree, prime_factors
 
 
@@ -238,6 +240,25 @@ def test_one_build_path_and_one_table_per_report():
     # the graph is built one way, and a report reads the table of its own graph
     assert list(inspect.signature(build_graph).parameters) == ["table", "k"]
     assert list(inspect.signature(verify_theorem).parameters) == ["group", "graph"]
+
+
+def test_no_permutation_product_after_the_listing(monkeypatch):
+    # once the catalog is listed, building and verifying multiply element
+    # indices on the table only: no permutation product and no inverse
+    tables = [(g, g.element_table()) for g in standard_catalog()]
+    calls = Counter()
+    for name in ("__mul__", "inverse"):
+        method = getattr(Permutation, name)
+
+        def counted(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(Permutation, name, counted)
+    for k in (2, 3, 4):
+        for group, table in tables:
+            assert verify_theorem(group, build_graph(table, k=k)).group == group.name
+    assert (calls["__mul__"], calls["inverse"]) == (0, 0)
 
 
 class TestVerifyTheorem:

@@ -483,8 +483,8 @@ class TestReducedAgainstNaive:
 
 
 # every catalog group at k = 2, 3, 4 except sl23_example at k = 3, whose
-# naive_adjacency takes over a minute; its k = 3 edges are pinned by the export
-# digests in test_exports.PINNED
+# naive_adjacency takes about 40 s (one run, 2 vCPUs); its k = 3 edges are
+# pinned by the export digests in test_exports.PINNED
 CATALOG_K = [(g, k) for k in (2, 3, 4) for g in standard_catalog() if (g.name, k) != ("sl23_example", 3)]
 
 

@@ -195,6 +195,31 @@ class TestIndexLayer:
             assert centralizer_elements(table, subset, i) == expected
 
 
+class TestTimes:
+    # times carries indices along a word: the one product on a listed table
+    @staticmethod
+    def check_walk(table, pairs):
+        elements, index_of = table.elements, table.index_of
+        n = len(table)
+        for i, j in pairs:
+            assert elements[table.times(i, j)] == elements[i] * elements[j]
+            products = [index_of[p * elements[j]] for p in elements]
+            assert list(table.times(np.arange(n), j)) == products
+
+    @pytest.mark.parametrize("group", standard_catalog(), ids=lambda g: g.name)
+    def test_catalog(self, group):
+        table = group.element_table()
+        rng = random.Random(len(table))
+        self.check_walk(table, [(rng.randrange(len(table)), rng.randrange(len(table))) for _ in range(4)])
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(group=small_groups(), data=st.data())
+    def test_small_groups(self, group, data):
+        table = group.element_table()
+        index = st.integers(min_value=0, max_value=len(table) - 1)
+        self.check_walk(table, data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=4)))
+
+
 class TestContains:
     # membership is a lookup in the element table
     def test_identity_in_any_group(self):
