@@ -22,7 +22,6 @@ per-pair certificates multiply element indices through table.times.
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional, Tuple
 
 import numpy as np
@@ -119,8 +118,8 @@ def build_graph(table, k=DEFAULT_K):
     builds = 0
     primes = prime_factors(n)
     if len(primes) >= k:  # otherwise no subgroup can reach k primes
-        # <r^m, j> = <r, j> when gcd(m, |r|) = 1, so each twin y that _row
-        # names for a decided r takes r's row, with entries y and r swapped,
+        # <y, j> = <r, j> for each generator y of <r>, so each twin y that
+        # _row names for a decided r takes r's row, with entries y and r swapped,
         # and no class holding one is decided again. The row of x^g at
         # position j^g equals the row of x at position j: conj_maps[t] sends
         # x to x^g, g = generators[t], so a filled row x fills the row of its
@@ -159,13 +158,14 @@ def _row(table, k, prime_mask, rep):
     elements it seeds: r alone when central, else the generators of <r>.
 
     <r, j> is the same subgroup for every j in one orbit of j -> r*j, j -> j*r
-    and j -> j^-1, so the row is constant on these orbits, which R and
-    table.inv label alone, as r*j = (j^-1 * r^-1)^-1. An orbit is adjacent
-    when the primes of r and of one member already reach k, and otherwise not
-    when its members commute with r (R == L): <r, j> is then abelian, with the
-    primes of r and j. A central r, alone in its class, commutes with every j,
-    so its row is read off the primes with no orbits. When some orbit is left
-    open, the orbits are merged further under conjugation by N_G(<r>): for g
+    and j -> j^-1, so the row is constant on these orbits, which R and table.inv
+    label from the left cosets j<r>, the orbits of R, as r*j = (j^-1 * r^-1)^-1.
+    <r> is the coset of index 0, and its elements of order |r| are the twins. An
+    orbit is adjacent when the primes of r and of one member already reach k,
+    and otherwise not when its members commute with r (R == L): <r, j> is then
+    abelian, with the primes of r and j. A central r, alone in its class,
+    commutes with every j, so its row is read off the primes with no orbits.
+    Orbits left open are merged further under conjugation by N_G(<r>): for g
     there, <r, j^g> = <r, j>^g has the order of <r, j>, and conjugation by g
     keeps classes, prime sets and commuting with r, since r^g generates <r>.
     Every merged orbit still open is decided once, at its least index.
@@ -177,15 +177,17 @@ def _row(table, k, prime_mask, rep):
     else:
         R, L = table.mul_maps(rep)
         commuting = R == L
-        label = _orbit_labels(np.arange(len(R)), [R, table.inv])
+        cosets = _orbit_labels(np.arange(len(R)), [R])
+        label = _orbit_labels(cosets, [R, table.inv])
         hit, undecided = _open_orbits(label, reach, commuting)
         if undecided.any():
-            label = _orbit_labels(label, _normalizer_conjugations(table, rep, R, L))
+            label = _orbit_labels(label, _normalizer_conjugations(table, cosets, L))
             hit, undecided = _open_orbits(label, reach, commuting)
         for m in np.flatnonzero(undecided):
             hit[m], b = _adjacent_counted(table, rep, int(m), k)
             builds += b
-        row, twins = hit[label], _cyclic_generators(R, table.order_of[rep])
+        row = hit[label]
+        twins = [j for j in np.flatnonzero(cosets == 0).tolist() if table.order_of[j] == table.order_of[rep]]
     row[rep] = False
     return row, builds, twins
 
@@ -200,34 +202,21 @@ def _open_orbits(label, reach, commuting):
     return hit, (label == np.arange(len(label))) & ~(hit | commuting)
 
 
-def _normalizer_conjugations(table, rep, R, L):
+def _normalizer_conjugations(table, cosets, L):
     """The conjugations j -> g^-1 * j * g by greedy generators g of N_G(<r>).
 
-    N_G(<r>) holds the g with g^-1 * r * g = r^m, that is r * g = g * r^m: L == R^m on
-    the maps of r. Its generators are those of table.span. Conjugation by g permutes the
-    orbits of r*j, j*r and j^-1; it is R_g[inv[R_g[inv]]], g^-1 * j * g = (j^-1 * g)^-1 * g.
+    N_G(<r>) holds the g with g^-1 * r * g in <r>, that is r * g in g<r>: cosets[L] == cosets,
+    as cosets labels the left cosets of <r> and L is j -> r*j. Its generators are those of
+    table.span. Conjugation by g permutes the orbits of r*j, j*r and j^-1; it is
+    R_g[inv[R_g[inv]]], g^-1 * j * g = (j^-1 * g)^-1 * g.
     """
-    normalizer = np.zeros(len(R), dtype=bool)
-    power = R
-    for _ in range(table.order_of[rep] - 1):  # m = 1 .. |r| - 1
-        normalizer |= L == power
-        power = R[power]
-    chosen, _ = table.span(normalizer)
+    chosen, _ = table.span(cosets[L] == cosets)
     return [right[table.inv[right[table.inv]]] for right, _ in map(table.mul_maps, chosen)]
 
 
 def _is_central(table, rep):
     """Whether every conjugation map fixes r, alone in its class."""
     return all(m[rep] == rep for m in table.conj_maps)
-
-
-def _cyclic_generators(R, order):
-    """The indices of r^m for gcd(m, |r|) = 1, r first: the generators of
-    <r>, walked from the identity along R = mul_maps(r)[0], j -> j*r."""
-    powers = [0]
-    for _ in range(order - 1):
-        powers.append(int(R[powers[-1]]))
-    return [powers[m] for m in range(1, order) if gcd(m, order) == 1]
 
 
 def _bfs_levels(graph, source):

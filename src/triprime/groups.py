@@ -236,11 +236,11 @@ def conjugacy_classes(conj_maps):
 def _orbit_labels(label, maps):
     """Each label lowered to the least index of its orbit under the index maps.
 
-    label holds the least index of each class of a partition that the maps
-    permute, as np.arange(n) does; an orbit is a union of such classes.
-    Min-label propagation along the maps and pointer jumping (label[j] lies
-    in j's orbit, so label[label] is a valid jump) run until nothing changes:
-    the standard orbit computation (Holt, Eick & O'Brien, Handbook, 4.1).
+    Each starting label[j] is at most j and lies in j's orbit, which joins j to
+    M[j] for each map M and to label[j], as in np.arange(n) or the left cosets
+    of <r> under [R]. Min-label propagation along the maps and pointer jumping
+    (label[label] stays in the orbit) run until nothing changes; the fixpoint is
+    still the orbit minimum (Holt, Eick & O'Brien, Handbook, 4.1).
     """
     while True:
         merged = label

@@ -301,7 +301,8 @@ class TestReducedBuild:
         for r in table.class_reps:
             R, L = table.mul_maps(r)
             label = groups_module._orbit_labels(np.arange(len(table)), [R, L, table.inv])
-            label = groups_module._orbit_labels(label, graph_module._normalizer_conjugations(table, r, R, L))
+            cosets = groups_module._orbit_labels(np.arange(len(table)), [R])
+            label = groups_module._orbit_labels(label, graph_module._normalizer_conjugations(table, cosets, L))
             assert (label <= np.arange(len(table))).all()
             assert np.array_equal(label[label], label)
             x = table.elements[r]
@@ -420,7 +421,8 @@ def check_orbit_labels(table):
         label = groups_module._orbit_labels(np.arange(n), [R, L, table.inv])
         products = [R.tolist(), L.tolist(), table.inv.tolist()]
         assert label.tolist() == brute_orbit_labels(products, n)
-        conjugations = graph_module._normalizer_conjugations(table, r, R, L)
+        cosets = groups_module._orbit_labels(np.arange(n), [R])
+        conjugations = graph_module._normalizer_conjugations(table, cosets, L)
         merged = groups_module._orbit_labels(label, conjugations)
         assert merged.tolist() == brute_orbit_labels(products + [C.tolist() for C in conjugations], n)
 
@@ -436,10 +438,47 @@ class TestOrbitLabels:
         check_orbit_labels(group.element_table())
 
 
+def check_normalizer_orbits(table):
+    # the conjugations span all of N_G(<r>): the labels merged through them
+    # are the orbits of j -> x*j, j*x, j^-1 and conjugation by every element
+    # of brute_normalizer, and the coset labelled 0 is <x>, all by
+    # permutation products; each conjugation map is formed once per group
+    n, elements, index_of = len(table), table.elements, table.index_of
+    conjugation = {}
+    for r in table.class_reps:
+        x = elements[r]
+        if all(x * g == g * x for g in table.generators):
+            continue
+        R, L = table.mul_maps(r)
+        cosets = groups_module._orbit_labels(np.arange(n), [R])
+        assert set(np.flatnonzero(cosets == 0).tolist()) == {index_of[x**m] for m in range(x.order())}, r
+        label = groups_module._orbit_labels(cosets, [R, table.inv])
+        merged = groups_module._orbit_labels(label, graph_module._normalizer_conjugations(table, cosets, L))
+        maps = [[index_of[x * y] for y in elements], [index_of[y * x] for y in elements],
+                [index_of[y.inverse()] for y in elements]]
+        for g in brute_normalizer(table, r):
+            if g not in conjugation:
+                h = g.inverse()
+                conjugation[g] = [index_of[h * y * g] for y in elements]
+            maps.append(conjugation[g])
+        assert merged.tolist() == brute_orbit_labels(maps, n), r
+
+
+class TestNormalizerOrbits:
+    @pytest.mark.parametrize("group", [g for g in standard_catalog() if g.known_order <= 210], ids=lambda g: g.name)
+    def test_catalog_matches_brute_orbits(self, group):
+        check_normalizer_orbits(group.element_table())
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(group=small_groups())
+    def test_random_groups_match_brute_orbits(self, group):
+        check_normalizer_orbits(group.element_table())
+
+
 def check_rep_rows(table, k):
     # each representative row is complete on its own: no entry waits for
     # the row of another class; it seeds r alone when r is central, and
-    # otherwise each r^m with gcd(m, |r|) = 1, r first, by permutation powers
+    # otherwise each r^m with gcd(m, |r|) = 1, in index order, by permutation powers
     primes = prime_factors(len(table))
     prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes], dtype=bool)
     prime_mask = prime_mask.reshape(len(primes), len(table))  # (0, 1) for the trivial group
@@ -451,7 +490,7 @@ def check_rep_rows(table, k):
             assert twins == [r], r
         else:
             o = x.order()
-            assert twins == [table.index_of[x**m] for m in range(1, o) if gcd(m, o) == 1], r
+            assert twins == sorted(table.index_of[x**m] for m in range(1, o) if gcd(m, o) == 1), r
 
 
 class TestRepresentativeRows:
