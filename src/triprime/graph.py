@@ -15,9 +15,9 @@ Within the row of a representative r, the entry of j depends only on
 is decided per orbit of these maps. Orbits left open are merged further under
 conjugation by the normalizer N_G(<r>): for g there, <r, j^g> = <r, j>^g has
 the same order, and conjugation by g keeps classes, prime sets and commuting
-with r. Each subgroup the build needs, <x, y> or the normalizer's span, comes
-from table.subgroup, a closure on the element table's index maps, and the
-per-pair certificates multiply element indices through table.times.
+with r. Each merged orbit still open takes one exact test, table.closure of
+<r, j> on the element table's index maps, stopped once the orders of the
+elements it has reached cover k primes; table.subgroup spans the normalizer.
 """
 
 from collections import Counter
@@ -43,28 +43,19 @@ def adjacent(table, i, j, k=DEFAULT_K):
 
 
 def _adjacent_counted(table, i, j, k):
-    """Adjacency test; second component counts exact subgroup orders.
+    """Adjacency test; the second component counts closures that end short of k primes.
 
-    Cheap sound certificates run first. When x and y commute, |<x, y>|
-    divides |x|*|y|, so the primes of x and y are all there is. Otherwise the
-    orders of x, y and of the words xy, xy^-1, [x, y], x^2y and xy^2, indices
-    formed by table.times, all divide |<x, y>|, so their combined prime support
-    certifies adjacency. Only undecided pairs count table.subgroup([i, j]).
-    """
+    Each element of <x, y> has an order dividing |<x, y>|, and each prime of
+    |<x, y>| is the order of one of them (Cauchy). So the pair is adjacent once
+    the prime_bits of the frontiers of table.closure([i, j]) hold k bits."""
     if i == j:
         return False, 0
-    support = table.primes_of[i] | table.primes_of[j]
-    if len(support) >= k:
-        return True, 0
-    times, inv = table.times, table.inv
-    xy, yx = times(i, j), times(j, i)
-    if xy == yx:
-        return False, 0
-    for w in (xy, times(i, inv[j]), times(inv[yx], xy), times(i, xy), times(xy, j)):
-        support = support | table.primes_of[w]
-        if len(support) >= k:
+    bits, seen = table.prime_bits, 0
+    for frontier in table.closure([i, j]):
+        seen |= int(np.bitwise_or.reduce(bits[frontier]))
+        if seen.bit_count() >= k:
             return True, 0
-    return len(prime_factors(int(table.subgroup([i, j]).sum()))) >= k, 1
+    return False, 1
 
 
 @dataclass
@@ -77,7 +68,7 @@ class NonFGraph:
     adjacency: np.ndarray  # (n, n) bool, symmetric, empty diagonal
     isolated: np.ndarray   # (n,) bool
     vertices: np.ndarray   # sorted indices of non-isolated elements
-    chain_builds: int = 0  # exact subgroup orders computed; named for criterion 10's budget
+    chain_builds: int = 0  # closures that ended short of k primes; named for criterion 10's budget
 
     @property
     def n(self):
@@ -110,14 +101,13 @@ def build_graph(table, k=DEFAULT_K):
     test per orbit of j -> r*j, j*r, j^-1 and conjugation by N_G(<r>), and
     seeds the class of each generator r^m of <r>, which is then not decided
     again; the rest of each class is filled from its seed along the
-    conjugation maps by the generators. The order of <x, y> is computed only
-    for pairs that no cheap certificate decides.
+    conjugation maps by the generators. Each orbit left open is decided by
+    one closure of <r, j>, stopped once its elements cover k primes.
     """
     n = len(table)
     adjacency = np.zeros((n, n), dtype=bool)
     builds = 0
-    primes = prime_factors(n)
-    if len(primes) >= k:  # otherwise no subgroup can reach k primes
+    if len(prime_factors(n)) >= k:  # otherwise no subgroup can reach k primes
         # <y, j> = <r, j> for each generator y of <r>, so each twin y that
         # _row names for a decided r takes r's row, with entries y and r swapped,
         # and no class holding one is decided again. The row of x^g at
@@ -125,14 +115,12 @@ def build_graph(table, k=DEFAULT_K):
         # x to x^g, g = generators[t], so a filled row x fills the row of its
         # image, gathered through the inverse map, until every class is
         # filled from its seed
-        prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes], dtype=bool)
-        prime_mask = prime_mask.reshape(len(primes), n)  # 2-D also with no primes, at k = 0
         seeded = np.zeros(len(table.class_reps), dtype=bool)  # by class id
         filled = np.zeros(n, dtype=bool)
         for rep in table.class_reps:
             if seeded[table.class_of[rep]]:
                 continue
-            row, b, twins = _row(table, k, prime_mask, rep)
+            row, b, twins = _row(table, k, rep)
             builds += b
             for y in twins:
                 if not seeded[table.class_of[y]]:
@@ -152,9 +140,9 @@ def build_graph(table, k=DEFAULT_K):
                      isolated=isolated, vertices=vertices, chain_builds=builds)
 
 
-def _row(table, k, prime_mask, rep):
+def _row(table, k, rep):
     """(row, builds, twins): the adjacency row of one class representative
-    r over every element, its count of exact subgroup orders, and the
+    r over every element, its closures that end short of k primes, and the
     elements it seeds: r alone when central, else the generators of <r>.
 
     <r, j> is the same subgroup for every j in one orbit of j -> r*j, j -> j*r
@@ -170,7 +158,8 @@ def _row(table, k, prime_mask, rep):
     keeps classes, prime sets and commuting with r, since r^g generates <r>.
     Every merged orbit still open is decided once, at its least index.
     """
-    reach = (prime_mask | prime_mask[:, rep, None]).sum(axis=0) >= k
+    seen = table.prime_bits | table.prime_bits[rep]  # the primes of r and j, as bits
+    reach = np.array([m.bit_count() for m in range(int(seen.max()) + 1)])[seen] >= k
     builds = 0
     if _is_central(table, rep):
         row, twins = reach, [rep]

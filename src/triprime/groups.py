@@ -1,12 +1,12 @@
 """Finite permutation groups: element tables, subgroups, catalog.
 
-Once a group is listed, only its element table multiplies: ElementTable.times
-carries element indices along the table's index maps, ElementTable.subgroup
-closes indices through times, ElementTable.span takes greedy generators of
-the subgroup a mask spans, and normal closures, the derived series and
-solvability are read off the two. The enumeration enforces the element cap;
-every order is the length of a listing, and two_generated_order lists
-<x, y>. A catalog group knows its order from a closed formula.
+Only the element table multiplies once a group is listed: ElementTable.times
+carries element indices along its index maps, closure yields the frontiers
+of <gens> through times, subgroup collects them, span takes greedy
+generators of the subgroup a mask spans, and normal closures, the derived
+series and solvability are read off the two. The enumeration enforces the
+element cap; every order is the length of a listing, and two_generated_order
+lists <x, y>. A catalog group knows its order from a closed formula.
 """
 
 from dataclasses import dataclass
@@ -94,6 +94,7 @@ class ElementTable:
     index_of: dict
     order_of: list
     primes_of: list
+    prime_bits: np.ndarray  # bit b set: the b-th least prime of |G| divides order_of[i]
     rmul: list
     inv: np.ndarray
     parents: list
@@ -129,23 +130,31 @@ class ElementTable:
         unright[R] = np.arange(len(R))
         return R, self.inv[unright[self.inv]]
 
-    def subgroup(self, gens):
-        """Membership mask of the subgroup generated by the element indices
-        gens, closed from {e} under right multiplication by each generator,
-        through times. By Lagrange a subgroup of more than n/p elements, p
-        the least prime dividing n, is G: the closure stops there.
-        """
+    def closure(self, gens):
+        """Frontiers of the closure of {e} under right multiplication by the
+        element indices gens, through times: [0], then each level's new members,
+        disjoint, with union <gens>. By Lagrange a subgroup of more than n/p
+        elements, p the least prime dividing n, is G: the rest is the last one."""
         n = len(self)
+        bound = n // min(prime_factors(n), default=1)
         inside = np.zeros(n, dtype=bool)
-        frontier = np.zeros(1, dtype=np.intp)  # the identity
+        frontier, size = np.zeros(1, dtype=np.intp), 0  # the identity
         while len(frontier):
+            yield frontier
             inside[frontier] = True
-            if np.count_nonzero(inside) > n // min(prime_factors(n), default=1):
-                return np.ones(n, dtype=bool)
+            size += len(frontier)
+            if size > bound:
+                frontier = np.flatnonzero(~inside)
+                continue
             reached = np.zeros(n, dtype=bool)
             for g in gens:
                 reached[self.times(frontier, g)] = True
             frontier = np.flatnonzero(reached & ~inside)
+
+    def subgroup(self, gens):
+        """Membership mask of <gens>, the union of closure(gens)."""
+        inside = np.zeros(len(self), dtype=bool)
+        inside[np.concatenate(list(self.closure(gens)))] = True
         return inside
 
     def span(self, mask):
@@ -205,6 +214,7 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
     # order and prime set are class functions: one cycle decomposition per class
     orders = [elements[r].order() for r in class_reps]
     primes = [prime_factors(o) for o in orders]
+    bit = {p: 1 << b for b, p in enumerate(sorted(prime_factors(len(elements))))}
     return ElementTable(
         degree=group.degree,
         generators=list(group.generators),
@@ -212,6 +222,7 @@ def enumerate_elements(group, cap=DEFAULT_CAP):
         index_of=index_of,
         order_of=[orders[c] for c in class_of],
         primes_of=[primes[c] for c in class_of],
+        prime_bits=np.array([sum(map(bit.get, ps)) for ps in primes], dtype=np.int64)[class_of],
         rmul=rmul,
         inv=np.array(inv, dtype=np.intp),
         parents=parents,

@@ -8,13 +8,16 @@ and two_generated_order(x, y) are the references for a group's order and
 for |<x, y>|; they list no elements and share only triprime.perm with the
 package.
 
-oracle_adjacency decides every unordered pair through a fresh chain, with
-no certificate and no symmetry. naive_adjacency and naive_row decide each
-pair through graph._adjacent_counted, so they share the package's per-pair
-certificates and its element table, and check only the symmetry-reduced
-build's orbits, seeds and fill; TestCertificates checks those certificates
-against chain orders. oracle_all_pairs_distances is a plain-python BFS over
-a list-of-lists matrix, and top_down_levels the plain dense BFS, which check
+oracle_adjacency decides every unordered pair through a fresh chain, with no
+certificate and no symmetry. naive_adjacency and naive_row decide each pair
+by their own certificates, certified_adjacent: the primes of x, y and of
+short words in them, commuting, and else the full order of <x, y> from the
+element table. They no longer share the package's per-pair decision
+(graph._adjacent_counted, a closure stopped at k primes), so they check it
+as well as the symmetry-reduced build's orbits, seeds and fill;
+TestCertificates checks both routes against chain orders.
+oracle_all_pairs_distances is a plain-python BFS over a list-of-lists
+matrix, and top_down_levels the plain dense BFS, which check
 graph._bfs_levels. distance_rows, eccentricities and per_vertex_diameter run
 the package's own BFS from every source asked for, not only from class
 representatives, to check what rep_distances and diameter read off them.
@@ -131,28 +134,53 @@ def two_generated_order(x, y):
     return StabilizerChain([x, y], degree=len(x)).order()
 
 
+def certified_adjacent(table, i, j, k):
+    """Whether elements i and j generate a subgroup with >= k distinct prime
+    divisors, by cheap sound certificates and else the full order of <x, y>.
+
+    When x and y commute, |<x, y>| divides |x|*|y|, so the primes of x and y
+    are all there is. Otherwise the orders of x, y and of the words xy,
+    xy^-1, [x, y], x^2y and xy^2, indices formed by table.times, all divide
+    |<x, y>|, so their combined prime support certifies adjacency. The pairs
+    left undecided take the size of table.subgroup([i, j]).
+    """
+    if i == j:
+        return False
+    support = table.primes_of[i] | table.primes_of[j]
+    if len(support) >= k:
+        return True
+    times, inv = table.times, table.inv
+    xy, yx = times(i, j), times(j, i)
+    if xy == yx:
+        return False
+    for w in (xy, times(i, inv[j]), times(inv[yx], xy), times(i, xy), times(xy, j)):
+        support = support | table.primes_of[w]
+        if len(support) >= k:
+            return True
+    return len(prime_factors(int(table.subgroup([i, j]).sum()))) >= k
+
+
 def naive_adjacency(table, k=3):
     """The (n, n) bool matrix with every pair i < j decided by
-    graph._adjacent_counted; empty when |G| has fewer than k primes, as no
+    certified_adjacent; empty when |G| has fewer than k primes, as no
     subgroup can then reach k."""
     n = len(table.elements)
     adjacency = np.zeros((n, n), dtype=bool)
     if len(prime_factors(n)) >= k:
         for i in range(n):
             for j in range(i + 1, n):
-                hit, _ = graph_module._adjacent_counted(table, i, j, k)
-                if hit:
+                if certified_adjacent(table, i, j, k):
                     adjacency[i, j] = True
                     adjacency[j, i] = True
     return adjacency
 
 
 def naive_row(table, r, k):
-    """Row r of naive_adjacency(table, k), pair by pair with adjacent()."""
+    """Row r of naive_adjacency(table, k), pair by pair with certified_adjacent."""
     n = len(table)
     if len(prime_factors(n)) < k:
         return np.zeros(n, dtype=bool)
-    return np.array([graph_module.adjacent(table, r, j, k) for j in range(n)])
+    return np.array([certified_adjacent(table, r, j, k) for j in range(n)])
 
 
 def oracle_adjacency(table, k=3):

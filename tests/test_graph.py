@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import (
+    certified_adjacent,
     distance_rows,
     eccentricities,
     naive_adjacency,
@@ -207,23 +208,20 @@ def decided_reps(table):
     return decided
 
 
-def brute_orbit(table, r, j, normalizer):
-    # closure of j under j -> r*j, j -> j*r, j -> j^-1 and j -> g^-1 * j * g
-    # for g in the normalizer, by permutation products
-    x = table.elements[r]
-    orbit = {j}
-    frontier = [j]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            y = table.elements[m]
-            for z in [x * y, y * x, y.inverse()] + [g.inverse() * y * g for g in normalizer]:
-                i = table.index_of[z]
-                if i not in orbit:
-                    orbit.add(i)
-                    nxt.append(i)
-        frontier = nxt
-    return orbit
+def brute_orbit_maps(table, r, conjugation):
+    # the maps j -> x*j, j*x, j^-1 and j -> g^-1 * j * g for every g in the
+    # normalizer, by permutation products; conjugation holds each g's map
+    # across calls, so that it is formed once per group
+    elements, index_of = table.elements, table.index_of
+    x = elements[r]
+    maps = [[index_of[x * y] for y in elements], [index_of[y * x] for y in elements],
+            [index_of[y.inverse()] for y in elements]]
+    for g in brute_normalizer(table, r):
+        if g not in conjugation:
+            h = g.inverse()
+            conjugation[g] = [index_of[h * y * g] for y in elements]
+        maps.append(conjugation[g])
+    return maps
 
 
 class TestBfsLevels:
@@ -278,19 +276,17 @@ class TestReducedBuild:
         monkeypatch.setattr(graph_module, "_adjacent_counted", counted)
         build_graph(table)
         expected = Counter()
+        conjugation = {}
         for r in decided_reps(table):
             x = table.elements[r]
-            normalizer = brute_normalizer(table, r)
-            seen = set()
-            for j in range(len(table)):
-                if j in seen:
-                    continue
-                orbit = brute_orbit(table, r, j, normalizer)
-                seen |= orbit
-                open_ = all(len(table.primes_of[r] | table.primes_of[m]) < 3 for m in orbit)
-                commutes = all(x * table.elements[m] == table.elements[m] * x for m in orbit)
+            orbits = {}
+            for j, m in enumerate(brute_orbit_labels(brute_orbit_maps(table, r, conjugation), len(table))):
+                orbits.setdefault(m, []).append(j)
+            for m, orbit in orbits.items():
+                open_ = all(len(table.primes_of[r] | table.primes_of[j]) < 3 for j in orbit)
+                commutes = all(x * table.elements[j] == table.elements[j] * x for j in orbit)
                 if open_ and not commutes:
-                    expected[r, min(orbit)] += 1
+                    expected[r, m] += 1
         assert calls == expected
         assert sum(calls.values()) == total
 
@@ -300,8 +296,8 @@ class TestReducedBuild:
         table = group.element_table()
         for r in table.class_reps:
             R, L = table.mul_maps(r)
-            label = groups_module._orbit_labels(np.arange(len(table)), [R, L, table.inv])
             cosets = groups_module._orbit_labels(np.arange(len(table)), [R])
+            label = groups_module._orbit_labels(cosets, [R, table.inv])
             label = groups_module._orbit_labels(label, graph_module._normalizer_conjugations(table, cosets, L))
             assert (label <= np.arange(len(table))).all()
             assert np.array_equal(label[label], label)
@@ -312,9 +308,26 @@ class TestReducedBuild:
             assert all(len(v) == 1 for v in orders.values())
 
     def test_exact_orders_pinned(self, sl23x):
-        # one exact subgroup order per merged orbit that no certificate decides
-        assert sum(build_graph(g.element_table()).chain_builds for g in standard_catalog()) == 130
-        assert sl23x.graph.chain_builds == 56
+        # one closure per merged orbit left open, counted when it ends short
+        # of k primes and so decides a non-edge
+        assert sum(build_graph(g.element_table()).chain_builds for g in standard_catalog()) == 124
+        assert sl23x.graph.chain_builds == 52
+
+    def test_exact_tests_pinned(self, monkeypatch):
+        # the merged orbits left open, each sent once to the exact test
+        calls = Counter()
+        original = graph_module._adjacent_counted
+
+        def counted(table, i, j, k):
+            calls[k] += 1
+            return original(table, i, j, k)
+
+        monkeypatch.setattr(graph_module, "_adjacent_counted", counted)
+        tables = [g.element_table() for g in standard_catalog()]
+        for k in (2, 3, 4):
+            for table in tables:
+                build_graph(table, k=k)
+        assert calls == {2: 17, 3: 175, 4: 142}
 
     @pytest.mark.parametrize("name", ["dihedral", "psl27", "sl23_example"])
     def test_pair_maps_match_products(self, name):
@@ -413,15 +426,17 @@ def brute_orbit_labels(maps, n):
 
 
 def check_orbit_labels(table):
-    # both uses in _row: the orbits of j -> j*r, r*j, j^-1, then those merged
-    # under the normalizer's conjugations, against a BFS over all the maps
+    # every use in _row: the left cosets of <r>, the orbits of j -> j*r, r*j,
+    # j^-1 labelled from them with [R, inv], then those merged under the
+    # normalizer's conjugations, against a BFS over all the maps
     n = len(table)
     for r in table.class_reps:
         R, L = table.mul_maps(r)
-        label = groups_module._orbit_labels(np.arange(n), [R, L, table.inv])
+        cosets = groups_module._orbit_labels(np.arange(n), [R])
+        assert cosets.tolist() == brute_orbit_labels([R.tolist()], n)
+        label = groups_module._orbit_labels(cosets, [R, table.inv])
         products = [R.tolist(), L.tolist(), table.inv.tolist()]
         assert label.tolist() == brute_orbit_labels(products, n)
-        cosets = groups_module._orbit_labels(np.arange(n), [R])
         conjugations = graph_module._normalizer_conjugations(table, cosets, L)
         merged = groups_module._orbit_labels(label, conjugations)
         assert merged.tolist() == brute_orbit_labels(products + [C.tolist() for C in conjugations], n)
@@ -454,14 +469,7 @@ def check_normalizer_orbits(table):
         assert set(np.flatnonzero(cosets == 0).tolist()) == {index_of[x**m] for m in range(x.order())}, r
         label = groups_module._orbit_labels(cosets, [R, table.inv])
         merged = groups_module._orbit_labels(label, graph_module._normalizer_conjugations(table, cosets, L))
-        maps = [[index_of[x * y] for y in elements], [index_of[y * x] for y in elements],
-                [index_of[y.inverse()] for y in elements]]
-        for g in brute_normalizer(table, r):
-            if g not in conjugation:
-                h = g.inverse()
-                conjugation[g] = [index_of[h * y * g] for y in elements]
-            maps.append(conjugation[g])
-        assert merged.tolist() == brute_orbit_labels(maps, n), r
+        assert merged.tolist() == brute_orbit_labels(brute_orbit_maps(table, r, conjugation), n), r
 
 
 class TestNormalizerOrbits:
@@ -479,11 +487,8 @@ def check_rep_rows(table, k):
     # each representative row is complete on its own: no entry waits for
     # the row of another class; it seeds r alone when r is central, and
     # otherwise each r^m with gcd(m, |r|) = 1, in index order, by permutation powers
-    primes = prime_factors(len(table))
-    prime_mask = np.array([[p in ps for ps in table.primes_of] for p in primes], dtype=bool)
-    prime_mask = prime_mask.reshape(len(primes), len(table))  # (0, 1) for the trivial group
     for r in table.class_reps:
-        row, _, twins = graph_module._row(table, k, prime_mask, r)
+        row, _, twins = graph_module._row(table, k, r)
         assert np.array_equal(row, naive_row(table, r, k)), r
         x = table.elements[r]
         if all(x * y == y * x for y in table.elements):
@@ -548,9 +553,9 @@ class TestRationalSeeds:
         decided = []
         original = graph_module._row
 
-        def recorded(table, k, prime_mask, rep):
+        def recorded(table, k, rep):
             decided.append(rep)
-            return original(table, k, prime_mask, rep)
+            return original(table, k, rep)
 
         monkeypatch.setattr(graph_module, "_row", recorded)
         build_graph(table)
@@ -613,6 +618,17 @@ class TestRepDistances:
         assert np.array_equal(dist, distance_rows(graph, sources))
 
 
+def check_closure(table, gens):
+    # the frontiers start at [0], are pairwise disjoint, and their union is
+    # subgroup(gens); returns them as lists
+    frontiers = [f.tolist() for f in table.closure(gens)]
+    assert frontiers[0] == [0]
+    members = [m for f in frontiers for m in f]
+    assert len(members) == len(set(members))
+    assert sorted(members) == np.flatnonzero(table.subgroup(gens)).tolist()
+    return frontiers
+
+
 class TestSubgroup:
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(group=small_groups(), data=st.data())
@@ -622,6 +638,7 @@ class TestSubgroup:
         for i, j in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=10)):
             x, y = table.elements[i], table.elements[j]
             assert table.subgroup([i, j]).sum() == two_generated_order(x, y)
+            check_closure(table, [i, j])
 
     @pytest.mark.parametrize(
         "name, n, cycles, size",
@@ -642,6 +659,11 @@ class TestSubgroup:
         for g in gens:
             products = [table.elements[m] * table.elements[g] for m in np.flatnonzero(mask)]
             assert mask[[table.index_of[p] for p in products]].all()
+        # once more than n/p members are in, p the least prime of n, the rest
+        # of G is the last frontier: s5 takes that tail, the proper subgroups do not
+        frontiers = check_closure(table, gens)
+        before = sum(map(len, frontiers[:-1]))
+        assert (before > len(table) // min(prime_factors(len(table)))) == (size == len(table))
 
     @pytest.mark.parametrize(
         "group", [catalog("symmetric", 5), PermutationGroup([], degree=3)], ids=["s5", "trivial"]
@@ -651,10 +673,14 @@ class TestSubgroup:
         expected = np.arange(len(table)) == 0
         assert np.array_equal(table.subgroup([]), expected)
         assert np.array_equal(table.subgroup([0]), expected)
+        assert check_closure(table, []) == check_closure(table, [0]) == [[0]]
 
 
 class TestCertificates:
-    # every answer, certified or read off the table, matches a fresh chain
+    # both per-pair routes, the package's closure stopped at k primes and the
+    # oracle's word certificates, match a fresh chain, also at i == j and at
+    # the commuting pair (i, i^2); the package counts each closure that ends
+    # short of k primes
     @settings(derandomize=True, deadline=None, database=None, max_examples=100)
     @given(
         gens=st.integers(min_value=2, max_value=7).flatmap(
@@ -667,10 +693,12 @@ class TestCertificates:
         table = PermutationGroup(gens).element_table()
         index = st.integers(min_value=0, max_value=len(table) - 1)
         for i, j in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=30)):
-            hit, _ = graph_module._adjacent_counted(table, i, j, k)
-            if i != j:
-                x, y = table.elements[i], table.elements[j]
-                assert hit == (len(prime_factors(two_generated_order(x, y))) >= k)
+            for a, b in [(i, j), (i, i), (i, table.times(i, i))]:
+                x, y = table.elements[a], table.elements[b]
+                expected = a != b and len(prime_factors(two_generated_order(x, y))) >= k
+                hit, closures = graph_module._adjacent_counted(table, a, b, k)
+                assert hit == certified_adjacent(table, a, b, k) == expected
+                assert closures == (a != b and not hit)
 
 
 class TestDiameter:
