@@ -2,10 +2,10 @@
 
 Vertices are labeled "index:cycles:order"; isolated vertices are excluded.
 Each writer streams UTF-8 bytes to a binary handle, one adjacency row at a
-time. DOT, GraphML and JSON name a vertex by its decimal index, so their
-edge lines are fixed-width records (see _write_records); CSV's quoted
-labels have no common width, and each CSV row is one join of its
-neighbours' labels.
+time. DOT, GraphML and JSON name a vertex by its decimal index, so each
+row of their edge lines is one array of records padded to the widest index
+(see _write_records); CSV's quoted labels have no common width, and each
+CSV row is one join of its neighbours' labels.
 """
 
 import csv
@@ -35,28 +35,23 @@ def _write_records(fh, graph, head, end, skip=0):
     order, less the first `skip` bytes of the first edge; return the number
     of edges.
 
-    The js of a row ascend, so they split into runs of equal digit count, and
-    within a run every line has the same width. Each run is written as one
-    array of records: the row's head, broadcast, then str(j) + end, gathered
-    from a table of those tails for that digit count.
+    Each row is written as one array of records: the row's head, broadcast,
+    then str(j) + end, gathered from one table of those tails, whose S dtype
+    pads each tail with NULs to the widest. The js of a row ascend, so a row
+    whose first tail is widest holds no padding and is written as it lies;
+    any other row drops its padding, as no head or tail holds a NUL.
     """
-    lows = [0] + [10 ** d for d in range(1, len(str(graph.n - 1)))]
-    tails = [
-        np.array([f"{j}{end}".encode() for j in range(low, high)])
-        for low, high in zip(lows, lows[1:] + [graph.n])
-    ]
+    tails = np.array([f"{j}{end}".encode() for j in range(graph.n)])
+    widest = 10 ** (len(str(graph.n - 1)) - 1)  # the least j of the widest tail
     edges = 0
     for i, js in edge_list(graph):
         h = head.format(i).encode()
-        cuts = [0, *np.searchsorted(js, lows[1:]).tolist(), len(js)]
-        for low, table, a, b in zip(lows, tails, cuts, cuts[1:]):
-            if a == b:
-                continue
-            records = np.empty(b - a, dtype=[("head", f"S{len(h)}"), ("tail", table.dtype)])
-            records["head"] = h
-            records["tail"] = table[js[a:b] - low]
-            fh.write(records.view(np.uint8)[skip:] if skip and not edges else records)
-            edges += b - a
+        records = np.empty(len(js), dtype=[("head", f"S{len(h)}"), ("tail", tails.dtype)])
+        records["head"] = h
+        records["tail"] = tails[js]
+        data = records.view(np.uint8) if js[0] >= widest else records.tobytes().replace(b"\0", b"")
+        fh.write(data[skip:] if skip and not edges else data)
+        edges += len(js)
     return edges
 
 

@@ -37,25 +37,19 @@ class IsolatedVertexError(ValueError):
 
 
 def adjacent(table, i, j, k=DEFAULT_K):
-    """Whether elements i and j generate a subgroup with >= k distinct prime divisors."""
-    hit, _ = _adjacent_counted(table, i, j, k)
-    return hit
-
-
-def _adjacent_counted(table, i, j, k):
-    """Adjacency test; the second component counts closures that end short of k primes.
+    """Whether elements i and j generate a subgroup with >= k distinct prime divisors.
 
     Each element of <x, y> has an order dividing |<x, y>|, and each prime of
     |<x, y>| is the order of one of them (Cauchy). So the pair is adjacent once
     the prime_bits of the frontiers of table.closure([i, j]) hold k bits."""
     if i == j:
-        return False, 0
+        return False
     bits, seen = table.prime_bits, 0
     for frontier in table.closure([i, j]):
         seen |= int(np.bitwise_or.reduce(bits[frontier]))
         if seen.bit_count() >= k:
-            return True, 0
-    return False, 1
+            return True
+    return False
 
 
 @dataclass
@@ -173,8 +167,8 @@ def _row(table, k, rep):
             label = _orbit_labels(label, _normalizer_conjugations(table, cosets, L))
             hit, undecided = _open_orbits(label, reach, commuting)
         for m in np.flatnonzero(undecided):
-            hit[m], b = _adjacent_counted(table, rep, int(m), k)
-            builds += b
+            hit[m] = adjacent(table, rep, int(m), k)
+            builds += not hit[m]  # a closure that ended short of k primes
         row = hit[label]
         twins = [j for j in np.flatnonzero(cosets == 0).tolist() if table.order_of[j] == table.order_of[rep]]
     row[rep] = False

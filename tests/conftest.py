@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from triprime.graph import build_graph, diameter
-from triprime.groups import catalog, direct_product
+from triprime.groups import catalog
 
 
 def _bundle(group, timed=False):
@@ -30,11 +30,6 @@ def d30():
 @pytest.fixture(scope="session")
 def c30():
     return _bundle(catalog("cyclic", 30))
-
-
-@pytest.fixture(scope="session")
-def f21xc2():
-    return _bundle(direct_product(catalog("frobenius21"), catalog("cyclic", 2)))
 
 
 @pytest.fixture(scope="session")

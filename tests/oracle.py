@@ -13,7 +13,7 @@ certificate and no symmetry. naive_adjacency and naive_row decide each pair
 by their own certificates, certified_adjacent: the primes of x, y and of
 short words in them, commuting, and else the full order of <x, y> from the
 element table. They no longer share the package's per-pair decision
-(graph._adjacent_counted, a closure stopped at k primes), so they check it
+(graph.adjacent, a closure stopped at k primes), so they check it
 as well as the symmetry-reduced build's orbits, seeds and fill;
 TestCertificates checks both routes against chain orders.
 oracle_all_pairs_distances is a plain-python BFS over a list-of-lists

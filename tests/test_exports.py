@@ -78,6 +78,38 @@ class TestFormatsParse:
         assert dot.count(" [label=") == len(vertices)
 
 
+# the head, end and skip that DOT, GraphML and JSON hand to _write_records
+RECORDS = {
+    "dot": ("  n{} -- n", ";\n", 0),
+    "graphml": ('    <edge source="n{}" target="n', '"/>\n', 0),
+    "json": (",\n    [\n      {},\n      ", "\n    ]", 1),
+}
+
+
+def check_records(graph):
+    # the records writer gives the bytes of one join of every edge line
+    for head, end, skip in RECORDS.values():
+        fh = io.BytesIO()
+        edges = exports._write_records(fh, graph, head, end, skip=skip)
+        lines = [head.format(i) + f"{j}{end}" for i, js in exports.edge_list(graph) for j in js]
+        assert fh.getvalue() == "".join(lines)[skip:].encode()
+        assert edges == len(lines) == np.count_nonzero(np.triu(graph.adjacency, 1))
+
+
+class TestRecords:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(group=small_groups(), k=st.sampled_from([1, 2, 3]))
+    def test_small_groups(self, group, k):
+        check_records(build_graph(group.element_table(), k=k))
+
+    # at k = 1 every two distinct elements are adjacent, so once n > 10 the
+    # first rows start at a tail narrower than the widest and the later rows
+    # do not; n = 1 is the trivial group, with no edges
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 12, 99, 100, 101, 110])
+    def test_cyclic_across_digit_counts(self, n):
+        check_records(build_graph(catalog("cyclic", n).element_table(), k=1))
+
+
 # sha256 of each writer's output encoded as UTF-8: the bytes stay fixed as the writers change
 PINNED = {
     ("alternating", 6, 2): {

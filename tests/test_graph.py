@@ -267,13 +267,13 @@ class TestReducedBuild:
         # index
         table = catalog(name, n).element_table()
         calls = Counter()
-        original = graph_module._adjacent_counted
+        original = graph_module.adjacent
 
         def counted(table, i, j, k):
             calls[i, j] += 1
             return original(table, i, j, k)
 
-        monkeypatch.setattr(graph_module, "_adjacent_counted", counted)
+        monkeypatch.setattr(graph_module, "adjacent", counted)
         build_graph(table)
         expected = Counter()
         conjugation = {}
@@ -316,13 +316,13 @@ class TestReducedBuild:
     def test_exact_tests_pinned(self, monkeypatch):
         # the merged orbits left open, each sent once to the exact test
         calls = Counter()
-        original = graph_module._adjacent_counted
+        original = graph_module.adjacent
 
         def counted(table, i, j, k):
             calls[k] += 1
             return original(table, i, j, k)
 
-        monkeypatch.setattr(graph_module, "_adjacent_counted", counted)
+        monkeypatch.setattr(graph_module, "adjacent", counted)
         tables = [g.element_table() for g in standard_catalog()]
         for k in (2, 3, 4):
             for table in tables:
@@ -679,8 +679,7 @@ class TestSubgroup:
 class TestCertificates:
     # both per-pair routes, the package's closure stopped at k primes and the
     # oracle's word certificates, match a fresh chain, also at i == j and at
-    # the commuting pair (i, i^2); the package counts each closure that ends
-    # short of k primes
+    # the commuting pair (i, i^2)
     @settings(derandomize=True, deadline=None, database=None, max_examples=100)
     @given(
         gens=st.integers(min_value=2, max_value=7).flatmap(
@@ -696,9 +695,7 @@ class TestCertificates:
             for a, b in [(i, j), (i, i), (i, table.times(i, i))]:
                 x, y = table.elements[a], table.elements[b]
                 expected = a != b and len(prime_factors(two_generated_order(x, y))) >= k
-                hit, closures = graph_module._adjacent_counted(table, a, b, k)
-                assert hit == certified_adjacent(table, a, b, k) == expected
-                assert closures == (a != b and not hit)
+                assert adjacent(table, a, b, k) == certified_adjacent(table, a, b, k) == expected
 
 
 class TestDiameter:
